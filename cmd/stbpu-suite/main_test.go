@@ -73,16 +73,46 @@ func goldenConfig() config {
 	}
 }
 
+// timingGoldenConfig is goldenConfig's twin for the CPU timing-model
+// scenarios (fig4/fig5/fig6): the same pinned knobs, sized down to two
+// workloads and two SMT pairs so the golden stays cheap under -race.
+func timingGoldenConfig() config {
+	cfg := goldenConfig()
+	cfg.filters = []string{"fig4", "fig5", "fig6"}
+	cfg.params = harness.Params{Records: 20_000, MaxWorkloads: 2, MaxPairs: 2}
+	return cfg
+}
+
 func TestGoldenSuiteOutput(t *testing.T) {
-	doc, err := runSuite(context.Background(), goldenConfig())
+	checkGolden(t, goldenConfig(), "quick.golden.json", false)
+}
+
+// TestGoldenTimingOutput pins the fig4–6 document bytes, which the
+// quick golden does not cover. It pins results, not trace-cache
+// placement: the trace-store and backend counters depend on how cells
+// fetch traces (model-major vs trace-major, records vs columns), so they
+// are dropped as in every byte-identity gate (normalizePlacement).
+func TestGoldenTimingOutput(t *testing.T) {
+	checkGolden(t, timingGoldenConfig(), "timing.golden.json", true)
+}
+
+// checkGolden runs cfg and compares the document with testdata/file
+// (rewriting it under -update), after normalizePlacement when
+// placement is set.
+func checkGolden(t *testing.T, cfg config, file string, placement bool) {
+	t.Helper()
+	doc, err := runSuite(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if placement {
+		normalizePlacement(&doc)
 	}
 	var buf bytes.Buffer
 	if err := writeDoc(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "quick.golden.json")
+	golden := filepath.Join("testdata", file)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -270,20 +300,24 @@ func TestExecResumeAllScenarios(t *testing.T) {
 // scheduling, modulo trace-store counters — grouping changes how often
 // the cache is consulted, never what the cells compute.
 func TestTraceMajorOffMatchesOn(t *testing.T) {
-	docOn, err := runSuite(context.Background(), goldenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := goldenConfig()
-	off.modelMajor = true
-	docOff, err := runSuite(context.Background(), off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalizePlacement(&docOn)
-	normalizePlacement(&docOff)
-	if !bytes.Equal(docBytes(t, docOn), docBytes(t, docOff)) {
-		t.Error("model-major suite output diverges from trace-major")
+	for name, cfg := range map[string]config{"quick": goldenConfig(), "timing": timingGoldenConfig()} {
+		t.Run(name, func(t *testing.T) {
+			docOn, err := runSuite(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := cfg
+			off.modelMajor = true
+			docOff, err := runSuite(context.Background(), off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			normalizePlacement(&docOn)
+			normalizePlacement(&docOff)
+			if !bytes.Equal(docBytes(t, docOn), docBytes(t, docOff)) {
+				t.Error("model-major suite output diverges from trace-major")
+			}
+		})
 	}
 }
 
