@@ -321,6 +321,42 @@ func TestTraceMajorOffMatchesOn(t *testing.T) {
 	}
 }
 
+// TestTraceDirServesTimingScenarios runs fig4 twice over one trace
+// tier, decoded and mapped. fig4 names its workloads by preset alias
+// ("fotonik3d") while the spilled traces carry the canonical name
+// ("549.fotonik3d"); the warm run must still be served from disk with
+// no disk errors, and match the undisked document.
+func TestTraceDirServesTimingScenarios(t *testing.T) {
+	cfg := timingGoldenConfig()
+	cfg.filters = []string{"fig4"}
+	ref, err := runSuite(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalizePlacement(&ref)
+	for _, mmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
+			tiered := cfg
+			tiered.traceDir = t.TempDir()
+			tiered.traceMmap = mmap
+			for pass := 1; pass <= 2; pass++ {
+				doc, err := runSuite(context.Background(), tiered)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := doc.TraceStore
+				if st.DiskErrors != 0 || (pass == 2 && (st.DiskHits == 0 || st.Generations != 0)) {
+					t.Fatalf("pass %d trace store %+v: want no disk errors, and a warm pass served from disk", pass, st)
+				}
+				normalizePlacement(&doc)
+				if !bytes.Equal(docBytes(t, ref), docBytes(t, doc)) {
+					t.Errorf("pass %d diverges from the undisked run", pass)
+				}
+			}
+		})
+	}
+}
+
 // snapConfig selects the scenarios that exercise the predictor-state
 // snapshot tier: the phase-structured workloads (checkpoint at phase
 // boundaries) and the warm-state curve (single-pass preset warmup).

@@ -3,8 +3,22 @@
 // substitution argument). It implements an interval-style timing model
 // (Genbrugge/Eyerman/Eeckhout): sustained dispatch at core width,
 // punctuated by miss events — branch mispredictions (front-end redirect +
-// refill), BTB misses (fetch bubbles), and long-latency cache misses
-// (partially hidden by the reorder buffer).
+// refill) and long-latency cache misses (partially hidden by the reorder
+// buffer).
+//
+// The analytic core's cycle count is the sum of two independent terms:
+//
+//   - the memory term (Memory): instruction counts plus dispatch,
+//     fetch-stall and load-stall cycles from one pass of the Table IV
+//     cache hierarchy over the trace. Block sizes and load addresses
+//     derive from each record's PC and target alone, so this term depends
+//     only on the trace and its Config — never on branch outcomes;
+//   - the branch term: MispredictPenalty per misprediction, from a
+//     columnar replay of the BPU model (sim.RunColumnsMulti).
+//
+// RunColumns and RunSMTColumns compute the memory term once and replay
+// any number of models over the same trace alongside it; Core is the
+// one-model view of the same engine.
 //
 // What matters for Figs. 4-6 is that the model couples prediction quality
 // to IPC the same way gem5's pipeline does: every extra misprediction
@@ -34,7 +48,11 @@ type Config struct {
 	// MispredictPenalty is the front-end redirect + refill cost.
 	MispredictPenalty int
 	// BTBMissPenalty is the fetch bubble for a taken branch without a
-	// target.
+	// target. Only PipelineCore's fetch stall charges it. The analytic
+	// core never does: bpu.Unit.Update reports a BTB miss only on a
+	// taken branch with no predicted target, which is always also a
+	// misprediction, and the misprediction penalty already covers the
+	// redirect.
 	BTBMissPenalty int
 
 	// InstrPerBranch is the mean non-branch instructions per branch
@@ -77,125 +95,6 @@ func (r Result) IPC() float64 {
 	return stats.Ratio(r.Instructions, r.Cycles)
 }
 
-// Core is a single simulated OoO core.
-type Core struct {
-	cfg Config
-	mem *cache.Hierarchy
-	bpu sim.Model
-}
-
-// New builds a core around a BPU model with a fresh Table IV cache
-// hierarchy.
-func New(cfg Config, bpuModel sim.Model) *Core {
-	return &Core{cfg: cfg, mem: cache.TableIVHierarchy(), bpu: bpuModel}
-}
-
-// Hierarchy exposes the cache hierarchy (tests inspect hit rates).
-func (c *Core) Hierarchy() *cache.Hierarchy { return c.mem }
-
-// loadAddr synthesizes a data address for load l of a block with realistic
-// locality: ~90% of accesses fall in a hot 64KB region, ~9% in a warm 1MB
-// region, and the rest sweep the full footprint — giving the L1/L2/LLC hit
-// rates real SPEC workloads exhibit.
-func (c *Core) loadAddr(h uint64, l int) uint64 {
-	return loadAddr(c.cfg.DataFootprint, h, l)
-}
-
-// loadAddr is the shared address synthesizer used by both timing engines.
-func loadAddr(footprint, h uint64, l int) uint64 {
-	x := h>>8 ^ uint64(l)*0x2545f4914f6cdd1d
-	x ^= x >> 31
-	x *= 0x9e3779b97f4a7c15
-	region := uint64(64 << 10)
-	switch sel := (x >> 56) % 100; {
-	case sel >= 99:
-		region = footprint
-	case sel >= 90:
-		region = 1 << 20
-	}
-	if region > footprint {
-		region = footprint
-	}
-	return (x % region) &^ 0x3f
-}
-
-// recHash derives deterministic per-record variation (instruction count,
-// load addresses) from the record itself, so protected and unprotected
-// models see the *identical* instruction stream.
-func recHash(rec trace.Record, i int) uint64 {
-	h := rec.PC ^ uint64(i)*0x9e3779b97f4a7c15 ^ rec.Target<<1
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 29
-	return h
-}
-
-// Run executes a trace through the core and returns timing + branch
-// statistics.
-func (c *Core) Run(tr *trace.Trace) Result {
-	res, _ := c.RunCtx(context.Background(), tr)
-	return res
-}
-
-// runCheckInterval is how many records the timing loops execute between
-// context checks (mirrors sim.RunCtx).
-const runCheckInterval = 8192
-
-// RunCtx is Run with cancellation: it aborts with ctx.Err() when the
-// context is canceled mid-trace.
-func (c *Core) RunCtx(ctx context.Context, tr *trace.Trace) (Result, error) {
-	res := Result{Workload: tr.Name, Model: c.bpu.Name()}
-	var cycles, instrs uint64
-	robOverlap := uint64(c.cfg.ROB / c.cfg.Width)
-
-	for i, rec := range tr.Records {
-		if i%runCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		h := recHash(rec, i)
-		block := 1 + int(h%uint64(2*c.cfg.InstrPerBranch)) // mean ≈ IPB
-		instrs += uint64(block) + 1                        // block + the branch
-
-		// Dispatch the block at core width.
-		cycles += uint64((block + c.cfg.Width - 1) / c.cfg.Width)
-
-		// Instruction fetch misses stall the front end.
-		il := c.mem.AccessInstr(rec.PC)
-		if il > 4 {
-			cycles += uint64(il) / 2 // partially pipelined fetch
-		}
-
-		// Loads: long-latency misses are hidden up to the ROB fill time;
-		// consecutive misses in the same block overlap (MLP 2).
-		nLoads := int(float64(block) * c.cfg.LoadFrac)
-		pendingStall := uint64(0)
-		for l := 0; l < nLoads; l++ {
-			lat := uint64(c.mem.AccessData(c.loadAddr(h, l)))
-			if lat > robOverlap {
-				pendingStall += (lat - robOverlap) / 2 // MLP overlap
-			}
-		}
-		cycles += pendingStall
-
-		// The branch itself.
-		_, ev := c.bpu.Step(rec)
-		accountBranch(&res.Branch, ev)
-		if ev.Mispredict {
-			cycles += uint64(c.cfg.MispredictPenalty)
-		} else if ev.BTBMiss {
-			cycles += uint64(c.cfg.BTBMissPenalty)
-		}
-	}
-	res.Branch.Model = c.bpu.Name()
-	res.Branch.Workload = tr.Name
-	res.Branch.Records = len(tr.Records)
-	res.Instructions = instrs
-	res.Cycles = cycles
-	return res, nil
-}
-
 // SMTResult is a two-thread co-run outcome.
 type SMTResult struct {
 	Workloads [2]string
@@ -216,9 +115,410 @@ func (r SMTResult) HarmonicMeanIPC() float64 {
 	return hm
 }
 
-// RunSMT co-runs two traces on one core in SMT mode: records interleave
-// round-robin (ICOUNT-style fairness), the BPU and caches are shared, and
-// both threads accumulate cycles on the shared clock.
+// Memory is the trace-only term of the analytic core: what one pass of
+// the cache hierarchy over a trace (or an SMT pair's round-robin
+// interleave) charges, independent of any branch predictor.
+type Memory struct {
+	// Instructions is each thread's retired instruction count (thread 1
+	// stays zero for a single-thread run).
+	Instructions [2]uint64
+	// Cycles is the dispatch, fetch-stall and load-stall total on the
+	// shared core clock.
+	Cycles uint64
+}
+
+// MemoryTerm computes the memory term of a single-thread run of a (b ==
+// nil) or of the SMT co-run of a and b, on a fresh Table IV hierarchy.
+func MemoryTerm(ctx context.Context, cfg Config, a, b *trace.Columns) (Memory, error) {
+	return memoryTerm(ctx, cfg, cache.TableIVHierarchy(), a, b)
+}
+
+// runCheckInterval is how many records (SMT: rounds) the memory pass
+// executes between context checks (mirrors sim.RunCtx).
+const runCheckInterval = 8192
+
+// memPass charges records against one hierarchy. The per-block dispatch
+// cycles and load counts are tabulated once per pass: a record's block
+// size is 1..2·InstrPerBranch.
+type memPass struct {
+	h          *cache.Hierarchy
+	footprint  uint64
+	ipb2       uint64
+	robOverlap uint64
+	dispatch   []uint64 // block → dispatch cycles at core width
+	loads      []int    // block → loads in the block
+	cycles     uint64
+}
+
+func newMemPass(cfg Config, h *cache.Hierarchy, robOverlap int) *memPass {
+	n := 2*cfg.InstrPerBranch + 1
+	p := &memPass{
+		h:          h,
+		footprint:  cfg.DataFootprint,
+		ipb2:       uint64(2 * cfg.InstrPerBranch),
+		robOverlap: uint64(robOverlap),
+		dispatch:   make([]uint64, n),
+		loads:      make([]int, n),
+	}
+	for block := 1; block < n; block++ {
+		p.dispatch[block] = uint64((block + cfg.Width - 1) / cfg.Width)
+		p.loads[block] = int(float64(block) * cfg.LoadFrac)
+	}
+	return p
+}
+
+// row charges row i of cols (i is the record's index within its own
+// thread) and returns the instructions it retires: the block plus the
+// branch.
+func (p *memPass) row(cols *trace.Columns, i int) uint64 {
+	pc := cols.PCs[i]
+	h := hashRow(pc, cols.Targets[i], i)
+	block := 1 + int(h%p.ipb2) // mean ≈ InstrPerBranch
+
+	// Dispatch the block at core width.
+	p.cycles += p.dispatch[block]
+
+	// Instruction fetch misses stall the front end.
+	if il := p.h.AccessInstr(pc); il > 4 {
+		p.cycles += uint64(il) / 2 // partially pipelined fetch
+	}
+
+	// Loads: long-latency misses are hidden up to the ROB fill time;
+	// consecutive misses in the same block overlap (MLP 2).
+	for l := 0; l < p.loads[block]; l++ {
+		if lat := uint64(p.h.AccessData(loadAddr(p.footprint, h, l))); lat > p.robOverlap {
+			p.cycles += (lat - p.robOverlap) / 2
+		}
+	}
+	return uint64(block) + 1
+}
+
+// memoryTerm runs the memory pass on h. An SMT co-run (b != nil)
+// interleaves the threads round-robin — the order RunSMTColumns replays
+// the BPU in — and shares the ROB overlap window between them.
+func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns) (Memory, error) {
+	var m Memory
+	if b == nil {
+		p := newMemPass(cfg, h, cfg.ROB/cfg.Width)
+		n := a.Len()
+		for lo := 0; lo < n; lo += runCheckInterval {
+			if err := ctx.Err(); err != nil {
+				return Memory{}, err
+			}
+			hi := min(lo+runCheckInterval, n)
+			for i := lo; i < hi; i++ {
+				m.Instructions[0] += p.row(a, i)
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return Memory{}, err
+		}
+		m.Cycles = p.cycles
+		return m, nil
+	}
+	p := newMemPass(cfg, h, cfg.ROB/cfg.Width/2) // window shared by threads
+	na, nb := a.Len(), b.Len()
+	rounds := max(na, nb)
+	for lo := 0; lo < rounds; lo += runCheckInterval {
+		if err := ctx.Err(); err != nil {
+			return Memory{}, err
+		}
+		hi := min(lo+runCheckInterval, rounds)
+		for r := lo; r < hi; r++ {
+			if r < na {
+				m.Instructions[0] += p.row(a, r)
+			}
+			if r < nb {
+				m.Instructions[1] += p.row(b, r)
+			}
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return Memory{}, err
+	}
+	m.Cycles = p.cycles
+	return m, nil
+}
+
+// loadAddr synthesizes a data address for load l of a block with realistic
+// locality: ~90% of accesses fall in a hot 64KB region, ~9% in a warm 1MB
+// region, and the rest sweep the full footprint — giving the L1/L2/LLC hit
+// rates real SPEC workloads exhibit. Both timing engines share it.
+func loadAddr(footprint, h uint64, l int) uint64 {
+	x := h>>8 ^ uint64(l)*0x2545f4914f6cdd1d
+	x ^= x >> 31
+	x *= 0x9e3779b97f4a7c15
+	region := uint64(64 << 10)
+	switch sel := (x >> 56) % 100; {
+	case sel >= 99:
+		region = footprint
+	case sel >= 90:
+		region = 1 << 20
+	}
+	if region > footprint {
+		region = footprint
+	}
+	return (x % region) &^ 0x3f
+}
+
+// recHash derives deterministic per-record variation (instruction count,
+// load addresses) from the record itself, so protected and unprotected
+// models see the *identical* instruction stream.
+func recHash(rec trace.Record, i int) uint64 { return hashRow(rec.PC, rec.Target, i) }
+
+// hashRow is recHash over the two fields it reads.
+func hashRow(pc, target uint64, i int) uint64 {
+	h := pc ^ uint64(i)*0x9e3779b97f4a7c15 ^ target<<1
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 29
+	return h
+}
+
+// withMemory runs the memory term on its own goroutine while replay runs
+// the branch term, and returns both outcomes. It always waits for the
+// memory pass, so h is never touched after it returns.
+func withMemory(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns,
+	replay func() ([]sim.Result, error)) (Memory, []sim.Result, error) {
+	var mem Memory
+	var memErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mem, memErr = memoryTerm(ctx, cfg, h, a, b)
+	}()
+	rs, err := replay()
+	<-done
+	if err != nil {
+		return Memory{}, nil, err
+	}
+	if memErr != nil {
+		return Memory{}, nil, memErr
+	}
+	return mem, rs, nil
+}
+
+// cycles is the analytic core's total: the memory term plus the branch
+// term.
+func (cfg Config) cycles(mem Memory, mispredicts uint64) uint64 {
+	return mem.Cycles + uint64(cfg.MispredictPenalty)*mispredicts
+}
+
+// RunColumns runs a single-thread trace through the core once per model:
+// one memory pass on a fresh Table IV hierarchy, and one columnar replay
+// feeding every model (sim.RunColumnsMulti). results[i] is exactly what
+// New(cfg, models[i]).RunCtx returns on the same trace.
+func RunColumns(ctx context.Context, cfg Config, models []sim.Model, cols *trace.Columns) ([]Result, error) {
+	return runColumns(ctx, cfg, cache.TableIVHierarchy(), models, cols)
+}
+
+func runColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models []sim.Model, cols *trace.Columns) ([]Result, error) {
+	mem, rs, err := withMemory(ctx, cfg, h, cols, nil, func() ([]sim.Result, error) {
+		return sim.RunColumnsMulti(ctx, models, cols)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = Result{
+			Workload:     cols.Name,
+			Model:        r.Model,
+			Instructions: mem.Instructions[0],
+			Cycles:       cfg.cycles(mem, r.Mispredicts),
+			Branch:       r,
+		}
+	}
+	return out, nil
+}
+
+// RunSMTColumns co-runs two traces on one core in SMT mode once per
+// model: records interleave round-robin (ICOUNT-style fairness), the BPU
+// and caches are shared, and both threads accumulate cycles on the shared
+// clock. The memory term runs once on a fresh Table IV hierarchy; every
+// model replays one interleaved view of the pair (Interleave) with its
+// rows routed to per-thread counters. results[i] is exactly what
+// New(cfg, models[i]).RunSMTCtx returns on the same pair.
+func RunSMTColumns(ctx context.Context, cfg Config, models []sim.Model, a, b *trace.Columns) ([]SMTResult, error) {
+	return runSMTColumns(ctx, cfg, cache.TableIVHierarchy(), models, a, b)
+}
+
+func runSMTColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models []sim.Model, a, b *trace.Columns) ([]SMTResult, error) {
+	pair := Interleave(a, b)
+	split := 2 * min(a.Len(), b.Len())
+	tail := 0
+	if b.Len() > a.Len() {
+		tail = 1
+	}
+	routed := make([]*threadModel, len(models))
+	wrapped := make([]sim.Model, len(models))
+	for i, m := range models {
+		routed[i] = newThreadModel(m, split, tail)
+		wrapped[i] = routed[i]
+	}
+	mem, _, err := withMemory(ctx, cfg, h, a, b, func() ([]sim.Result, error) {
+		return sim.RunColumnsMulti(ctx, wrapped, pair)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SMTResult, len(models))
+	for i, tm := range routed {
+		name := models[i].Name()
+		cycles := cfg.cycles(mem, tm.per[0].Mispredicts+tm.per[1].Mispredicts)
+		res := SMTResult{Workloads: [2]string{a.Name, b.Name}, Model: name, Cycles: cycles}
+		for t, cols := range [2]*trace.Columns{a, b} {
+			res.PerThread[t] = Result{
+				Workload:     cols.Name,
+				Model:        name,
+				Instructions: mem.Instructions[t],
+				Cycles:       cycles,
+				Branch:       counterResult(tm.per[t], cols.Len()),
+			}
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// counterResult is a per-thread branch result: the thread's record count
+// and event counters (run-scoped counters such as re-randomizations
+// belong to the shared model, not to a thread).
+func counterResult(c bpu.Counters, records int) sim.Result {
+	return sim.Result{
+		Records:       records,
+		Mispredicts:   c.Mispredicts,
+		Conds:         c.Conds,
+		DirCorrect:    c.DirCorrect,
+		TargetKnown:   c.TargetKnown,
+		TargetCorrect: c.TargetCorrect,
+		Evictions:     c.Evictions,
+		BTBMisses:     c.BTBMisses,
+	}
+}
+
+// Interleave builds the SMT replay view of a pair: rows alternate a[0],
+// b[0], a[1], b[1], ... while both threads have records, then the
+// longer thread's tail follows. Thread 1's entities are offset into a
+// disjoint range (PID += 1<<16, Program += 1<<12, both wrapping) so the
+// two threads never collide in the token table.
+func Interleave(a, b *trace.Columns) *trace.Columns {
+	n := a.Len() + b.Len()
+	v := &trace.Columns{
+		Name:     a.Name + "+" + b.Name,
+		PCs:      make([]uint64, 0, n),
+		Targets:  make([]uint64, 0, n),
+		Flags:    make([]byte, 0, n),
+		PIDs:     make([]uint32, 0, n),
+		Programs: make([]uint16, 0, n),
+	}
+	push := func(c *trace.Columns, i int, pid uint32, prog uint16) {
+		v.PCs = append(v.PCs, c.PCs[i])
+		v.Targets = append(v.Targets, c.Targets[i])
+		v.Flags = append(v.Flags, c.Flags[i])
+		v.PIDs = append(v.PIDs, c.PIDs[i]+pid)
+		v.Programs = append(v.Programs, c.Programs[i]+prog)
+	}
+	for r := 0; r < max(a.Len(), b.Len()); r++ {
+		if r < a.Len() {
+			push(a, r, 0, 0)
+		}
+		if r < b.Len() {
+			push(b, r, 1<<16, 1<<12)
+		}
+	}
+	return v
+}
+
+// threadModel routes each row of an Interleave view to its thread's
+// counters: rows below split alternate thread 0 and thread 1, and the
+// remaining rows belong to the tail thread. Rows fold into per only —
+// not into the replay's accumulator — so runSMTColumns reads a model's
+// branch term from per, never from the replay's sim.Result counters.
+type threadModel struct {
+	inner sim.Model
+	cm    sim.ColumnModel // nil: step materialized records
+	split int
+	tail  int
+	per   [2]bpu.Counters
+}
+
+func newThreadModel(m sim.Model, split, tail int) *threadModel {
+	cm, _ := m.(sim.ColumnModel)
+	return &threadModel{inner: m, cm: cm, split: split, tail: tail}
+}
+
+// Name implements sim.Model.
+func (m *threadModel) Name() string { return m.inner.Name() }
+
+// Step implements sim.Model by forwarding to the inner model. Replay
+// always takes StepColumns, which does the per-thread routing.
+func (m *threadModel) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
+	return m.inner.Step(rec)
+}
+
+// StepColumns implements sim.ColumnModel: interleaved rows step one at a
+// time, the tail in one call.
+func (m *threadModel) StepColumns(cols *trace.Columns, lo, hi int, _ *bpu.Counters) {
+	for i := lo; i < hi; {
+		t, end := i&1, i+1
+		if i >= m.split {
+			t, end = m.tail, hi
+		}
+		if m.cm != nil {
+			m.cm.StepColumns(cols, i, end, &m.per[t])
+		} else {
+			for j := i; j < end; j++ {
+				_, ev := m.inner.Step(cols.Record(j))
+				m.per[t].Note(ev)
+			}
+		}
+		i = end
+	}
+}
+
+// Finalize implements sim.Finalizer by forwarding to the inner model.
+func (m *threadModel) Finalize(res *sim.Result) {
+	if f, ok := m.inner.(sim.Finalizer); ok {
+		f.Finalize(res)
+	}
+}
+
+// Core is a single simulated OoO core: one BPU model and one cache
+// hierarchy that persist across runs.
+type Core struct {
+	cfg Config
+	mem *cache.Hierarchy
+	bpu sim.Model
+}
+
+// New builds a core around a BPU model with a fresh Table IV cache
+// hierarchy.
+func New(cfg Config, bpuModel sim.Model) *Core {
+	return &Core{cfg: cfg, mem: cache.TableIVHierarchy(), bpu: bpuModel}
+}
+
+// Hierarchy exposes the cache hierarchy (tests inspect hit rates).
+func (c *Core) Hierarchy() *cache.Hierarchy { return c.mem }
+
+// Run executes a trace through the core and returns timing + branch
+// statistics.
+func (c *Core) Run(tr *trace.Trace) Result {
+	res, _ := c.RunCtx(context.Background(), tr)
+	return res
+}
+
+// RunCtx is Run with cancellation: it aborts with ctx.Err() when the
+// context is canceled mid-trace.
+func (c *Core) RunCtx(ctx context.Context, tr *trace.Trace) (Result, error) {
+	rs, err := runColumns(ctx, c.cfg, c.mem, []sim.Model{c.bpu}, trace.FromTrace(tr))
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
+// RunSMT co-runs two traces on one core in SMT mode (see RunSMTColumns).
 func (c *Core) RunSMT(a, b *trace.Trace) SMTResult {
 	res, _ := c.RunSMTCtx(context.Background(), a, b)
 	return res
@@ -227,91 +527,9 @@ func (c *Core) RunSMT(a, b *trace.Trace) SMTResult {
 // RunSMTCtx is RunSMT with cancellation: it aborts with ctx.Err() when the
 // context is canceled mid-co-run.
 func (c *Core) RunSMTCtx(ctx context.Context, a, b *trace.Trace) (SMTResult, error) {
-	res := SMTResult{Workloads: [2]string{a.Name, b.Name}, Model: c.bpu.Name()}
-	res.PerThread[0] = Result{Workload: a.Name, Model: c.bpu.Name()}
-	res.PerThread[1] = Result{Workload: b.Name, Model: c.bpu.Name()}
-	robOverlap := uint64(c.cfg.ROB / c.cfg.Width / 2) // window shared by threads
-
-	traces := [2]*trace.Trace{a, b}
-	idx := [2]int{}
-	var cycles, rounds uint64
-	for idx[0] < len(a.Records) || idx[1] < len(b.Records) {
-		if rounds%runCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return SMTResult{}, err
-			}
-		}
-		rounds++
-		for t := 0; t < 2; t++ {
-			tr := traces[t]
-			if idx[t] >= len(tr.Records) {
-				continue
-			}
-			rec := tr.Records[idx[t]]
-			// SMT threads must not collide in the token table: offset
-			// thread 1's PIDs into a disjoint range.
-			if t == 1 {
-				rec.PID += 1 << 16
-				rec.Program += 1 << 12
-			}
-			i := idx[t]
-			idx[t]++
-
-			h := recHash(rec, i)
-			block := 1 + int(h%uint64(2*c.cfg.InstrPerBranch))
-			th := &res.PerThread[t]
-			th.Instructions += uint64(block) + 1
-
-			cycles += uint64((block + c.cfg.Width - 1) / c.cfg.Width)
-			il := c.mem.AccessInstr(rec.PC)
-			if il > 4 {
-				cycles += uint64(il) / 2
-			}
-			nLoads := int(float64(block) * c.cfg.LoadFrac)
-			for l := 0; l < nLoads; l++ {
-				lat := uint64(c.mem.AccessData(c.loadAddr(h, l)))
-				if lat > robOverlap {
-					cycles += (lat - robOverlap) / 2
-				}
-			}
-			_, ev := c.bpu.Step(rec)
-			accountBranch(&th.Branch, ev)
-			if ev.Mispredict {
-				cycles += uint64(c.cfg.MispredictPenalty)
-			} else if ev.BTBMiss {
-				cycles += uint64(c.cfg.BTBMissPenalty)
-			}
-		}
+	rs, err := runSMTColumns(ctx, c.cfg, c.mem, []sim.Model{c.bpu}, trace.FromTrace(a), trace.FromTrace(b))
+	if err != nil {
+		return SMTResult{}, err
 	}
-	res.Cycles = cycles
-	res.PerThread[0].Cycles = cycles
-	res.PerThread[1].Cycles = cycles
-	res.PerThread[0].Branch.Records = len(a.Records)
-	res.PerThread[1].Branch.Records = len(b.Records)
-	return res, nil
-}
-
-// accountBranch mirrors sim.Run's event accounting for one record.
-func accountBranch(r *sim.Result, ev bpu.Events) {
-	if ev.Mispredict {
-		r.Mispredicts++
-	}
-	if ev.IsCond {
-		r.Conds++
-		if ev.DirCorrect {
-			r.DirCorrect++
-		}
-	}
-	if ev.TargetKnown {
-		r.TargetKnown++
-		if ev.TargetCorrect {
-			r.TargetCorrect++
-		}
-	}
-	if ev.BTBEviction {
-		r.Evictions++
-	}
-	if ev.BTBMiss {
-		r.BTBMisses++
-	}
+	return rs[0], nil
 }

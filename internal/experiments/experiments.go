@@ -20,6 +20,7 @@ import (
 	"stbpu/internal/stats"
 	"stbpu/internal/token"
 	"stbpu/internal/trace"
+	"stbpu/internal/tracestore"
 )
 
 // Scale bounds experiment size so the same harness serves quick tests,
@@ -60,9 +61,11 @@ func capList[T any](xs []T, n int) []T {
 // (workload, records) trace is generated once and shared read-only across
 // every cell of every scenario in the run, with deduplicated generation
 // and a byte-bounded LRU replacing the per-scenario caches each Run*Ctx
-// used to carry. Replay-only scenarios fetch the columnar view
-// (GetColumns + sim.RunColumnsCtx, the fast path); the cycle-accurate
-// CPU scenarios (fig4/fig5/fig6) fetch AoS records via Get.
+// used to carry. Every figure fetches the columnar view (GetColumns) and
+// runs trace-major: replay-only scenarios feed one sim.RunColumnsMulti
+// pass to a workload's models, and the CPU scenarios (fig4/fig5/fig6)
+// compute the trace-only memory term once per workload or pair alongside
+// that pass (cpu.RunColumns, cpu.RunSMTColumns).
 
 // ---------------------------------------------------------------------------
 // Fig. 3 — trace-driven OAE comparison of the five protection models.
@@ -187,25 +190,24 @@ type Fig4Result struct {
 	Avg [4]Fig4Cell
 }
 
-// runPair runs one workload through the unprotected and ST variants of a
-// predictor on the CPU model.
-func runPair(ctx context.Context, tr *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
-	cfg := cpu.ConfigFor(tr.Name)
-	base, err := cpu.New(cfg, &sim.UnitModel{
-		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunCtx(ctx, tr)
-	if err != nil {
-		return Fig4Cell{}, err
+// predictorPair builds the two models one Fig. 4/5 cell compares: the
+// unprotected predictor and its ST twin.
+func predictorPair(dir core.DirKind, seed uint64) []sim.Model {
+	return []sim.Model{
+		&sim.UnitModel{ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)},
+		&sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})},
 	}
-	st, err := cpu.New(cfg, &sim.STBPUModel{
-		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunCtx(ctx, tr)
-	if err != nil {
-		return Fig4Cell{}, err
+}
+
+// groupModels lays out a trace-major group's models: shard i of the group
+// owns models 2i (unprotected) and 2i+1 (ST).
+func groupModels(shards []int, seeds []uint64, d int) []sim.Model {
+	dirs := Fig4Dirs()
+	models := make([]sim.Model, 0, 2*len(shards))
+	for i, shard := range shards {
+		models = append(models, predictorPair(dirs[shard%d], seeds[i])...)
 	}
-	return Fig4Cell{
-		DirReduction: base.Branch.DirectionRate() - st.Branch.DirectionRate(),
-		TgtReduction: base.Branch.TargetRate() - st.Branch.TargetRate(),
-		NormIPC:      st.IPC() / base.IPC(),
-	}, nil
+	return models
 }
 
 // RunFig4 regenerates Fig. 4 on the default pool.
@@ -221,14 +223,30 @@ func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
-	cells, err := harness.Map(ctx, pool, "fig4", len(names)*d,
-		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
-			w, di := shard/d, shard%d
-			tr, _, err := cache.Get(names[w], s.Records)
+	// Trace-major: a workload's predictor cells share one memory term and
+	// one columnar replay pass.
+	cells, err := harness.MapTraceMajor(ctx, pool, "fig4", len(names)*d,
+		func(shard int) int { return shard / d },
+		func(shard int) string { return harness.Locality(names[shard/d], s.Records) },
+		func(ctx context.Context, shards []int, seeds []uint64) ([]Fig4Cell, error) {
+			cols, _, err := cache.GetColumns(names[shards[0]/d], s.Records)
 			if err != nil {
-				return Fig4Cell{}, err
+				return nil, err
 			}
-			return runPair(ctx, tr, dirs[di], seed)
+			rs, err := cpu.RunColumns(ctx, cpu.ConfigFor(cols.Name), groupModels(shards, seeds, d), cols)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]Fig4Cell, len(shards))
+			for i := range out {
+				base, st := rs[2*i], rs[2*i+1]
+				out[i] = Fig4Cell{
+					DirReduction: base.Branch.DirectionRate() - st.Branch.DirectionRate(),
+					TgtReduction: base.Branch.TargetRate() - st.Branch.TargetRate(),
+					NormIPC:      st.IPC() / base.IPC(),
+				}
+			}
+			return out, nil
 		})
 	if err != nil {
 		return Fig4Result{}, err
@@ -298,19 +316,9 @@ type Fig5Result struct {
 	Avg  [4]Fig4Cell
 }
 
-// runSMTPair compares unprotected vs ST for one predictor on a pair.
-func runSMTPair(ctx context.Context, a, b *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
-	cfg := cpu.ConfigFor(a.Name) // pair co-runs share one core configuration
-	base, err := cpu.New(cfg, &sim.UnitModel{
-		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunSMTCtx(ctx, a, b)
-	if err != nil {
-		return Fig4Cell{}, err
-	}
-	st, err := cpu.New(cfg, &sim.STBPUModel{
-		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunSMTCtx(ctx, a, b)
-	if err != nil {
-		return Fig4Cell{}, err
-	}
+// fig5Cell compares the unprotected and ST co-runs of one pair: mean
+// per-thread rate reductions and the harmonic-mean IPC ratio.
+func fig5Cell(base, st cpu.SMTResult) Fig4Cell {
 	dirBase := (base.PerThread[0].Branch.DirectionRate() + base.PerThread[1].Branch.DirectionRate()) / 2
 	dirST := (st.PerThread[0].Branch.DirectionRate() + st.PerThread[1].Branch.DirectionRate()) / 2
 	tgtBase := (base.PerThread[0].Branch.TargetRate() + base.PerThread[1].Branch.TargetRate()) / 2
@@ -319,7 +327,18 @@ func runSMTPair(ctx context.Context, a, b *trace.Trace, dir core.DirKind, seed u
 		DirReduction: dirBase - dirST,
 		TgtReduction: tgtBase - tgtST,
 		NormIPC:      st.HarmonicMeanIPC() / base.HarmonicMeanIPC(),
-	}, nil
+	}
+}
+
+// pairColumns fetches both traces of an SMT pair.
+func pairColumns(cache *tracestore.Store, pair [2]string, records int) (a, b *trace.Columns, err error) {
+	if a, _, err = cache.GetColumns(pair[0], records); err != nil {
+		return nil, nil, err
+	}
+	if b, _, err = cache.GetColumns(pair[1], records); err != nil {
+		return nil, nil, err
+	}
+	return a, b, nil
 }
 
 // RunFig5 regenerates Fig. 5 on the default pool.
@@ -335,18 +354,26 @@ func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
-	cells, err := harness.Map(ctx, pool, "fig5", len(pairs)*d,
-		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
-			pi, di := shard/d, shard%d
-			a, _, err := cache.Get(pairs[pi][0], s.Records)
+	// Trace-major: a pair's predictor cells share one memory term and one
+	// replay pass over the pair's interleaved view.
+	cells, err := harness.MapTraceMajor(ctx, pool, "fig5", len(pairs)*d,
+		func(shard int) int { return shard / d },
+		func(shard int) string { return harness.Locality(pairs[shard/d][0], s.Records) },
+		func(ctx context.Context, shards []int, seeds []uint64) ([]Fig4Cell, error) {
+			a, b, err := pairColumns(cache, pairs[shards[0]/d], s.Records)
 			if err != nil {
-				return Fig4Cell{}, err
+				return nil, err
 			}
-			b, _, err := cache.Get(pairs[pi][1], s.Records)
+			// Pair co-runs share one core configuration.
+			rs, err := cpu.RunSMTColumns(ctx, cpu.ConfigFor(a.Name), groupModels(shards, seeds, d), a, b)
 			if err != nil {
-				return Fig4Cell{}, err
+				return nil, err
 			}
-			return runSMTPair(ctx, a, b, dirs[di], seed)
+			out := make([]Fig4Cell, len(shards))
+			for i := range out {
+				out[i] = fig5Cell(rs[2*i], rs[2*i+1])
+			}
+			return out, nil
 		})
 	if err != nil {
 		return Fig5Result{}, err
@@ -417,60 +444,67 @@ func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6
 	pairs := capList(trace.SMTPairsExtended(), s.MaxPairs)
 	cache := pool.Traces()
 	np := len(pairs)
-	// The unprotected TAGE64 baseline depends only on the pair, not on r,
-	// so it is simulated once per pair and shared across the sweep (it is
-	// deterministic, so first-arrival computation keeps results
-	// worker-count-independent). The memo is per-Run-invocation: under a
-	// subprocess backend each worker batch re-runs the decomposition and
-	// so re-simulates the baselines its cells touch — duplicated work on
-	// the same deterministic inputs, never a result difference (the same
-	// trade-off as worker-local trace generation; see
-	// internal/tracestore/doc.go).
+	// The unprotected TAGE64 baseline depends only on the pair, not on r.
+	// Trace-major groups hold a pair's whole sweep, so the baseline rides
+	// along in the group's replay pass. The per-pair memo keeps that true
+	// under model-major scheduling too: the first cell of a pair to run
+	// adds the baseline to its pass, and later cells reuse its IPC. The
+	// baseline is deterministic, so first-arrival computation keeps
+	// results worker-count-independent. The memo is per-Run-invocation:
+	// a wire worker re-runs the decomposition for its shard subset and
+	// recomputes the baselines its cells touch — duplicated work on the
+	// same deterministic inputs, never a result difference.
 	type baselineEntry struct {
 		once sync.Once
 		ipc  float64
 		err  error
 	}
 	baselines := make([]baselineEntry, np)
-	cells, err := harness.Map(ctx, pool, "fig6", len(rs)*np,
-		func(ctx context.Context, shard int, seed uint64) (fig6Cell, error) {
-			ri, pi := shard/np, shard%np
-			a, _, err := cache.Get(pairs[pi][0], s.Records)
+	cells, err := harness.MapTraceMajor(ctx, pool, "fig6", len(rs)*np,
+		func(shard int) int { return shard % np },
+		func(shard int) string { return harness.Locality(pairs[shard%np][0], s.Records) },
+		func(ctx context.Context, shards []int, seeds []uint64) ([]fig6Cell, error) {
+			pi := shards[0] % np
+			a, b, err := pairColumns(cache, pairs[pi], s.Records)
 			if err != nil {
-				return fig6Cell{}, err
+				return nil, err
 			}
-			b, _, err := cache.Get(pairs[pi][1], s.Records)
-			if err != nil {
-				return fig6Cell{}, err
-			}
-			th := token.Derive(rs[ri])
 			cfg := cpu.ConfigFor(a.Name)
+			stModels := make([]*core.Model, len(shards))
+			models := make([]sim.Model, len(shards))
+			for i, shard := range shards {
+				th := token.Derive(rs[shard/np])
+				stModels[i] = core.NewModel(core.ModelConfig{Dir: core.DirTAGE64, Thresholds: &th, Seed: seeds[i]})
+				models[i] = &sim.STBPUModel{Inner: stModels[i]}
+			}
+			var results []cpu.SMTResult
 			bl := &baselines[pi]
 			bl.once.Do(func() {
-				base, err := cpu.New(cfg, &sim.UnitModel{
-					ModelName: "TAGE64", Unit: core.NewUnprotectedUnit(core.DirTAGE64)}).RunSMTCtx(ctx, a, b)
-				if err != nil {
-					bl.err = err
-					return
+				base := &sim.UnitModel{ModelName: "TAGE64", Unit: core.NewUnprotectedUnit(core.DirTAGE64)}
+				results, bl.err = cpu.RunSMTColumns(ctx, cfg, append(models, base), a, b)
+				if bl.err == nil {
+					bl.ipc = results[len(models)].HarmonicMeanIPC()
 				}
-				bl.ipc = base.HarmonicMeanIPC()
 			})
 			if bl.err != nil {
-				return fig6Cell{}, bl.err
+				return nil, bl.err
 			}
-			stModel := core.NewModel(core.ModelConfig{Dir: core.DirTAGE64, Thresholds: &th, Seed: seed})
-			st, err := cpu.New(cfg, &sim.STBPUModel{Inner: stModel}).RunSMTCtx(ctx, a, b)
-			if err != nil {
-				return fig6Cell{}, err
+			if results == nil {
+				if results, err = cpu.RunSMTColumns(ctx, cfg, models, a, b); err != nil {
+					return nil, err
+				}
 			}
-
-			misp := st.PerThread[0].Branch.Mispredicts + st.PerThread[1].Branch.Mispredicts
-			total := uint64(st.PerThread[0].Branch.Records + st.PerThread[1].Branch.Records)
-			return fig6Cell{
-				Acc:     1 - float64(misp)/float64(total),
-				IPC:     st.HarmonicMeanIPC() / bl.ipc,
-				Rerands: stModel.Rerandomizations(),
-			}, nil
+			out := make([]fig6Cell, len(shards))
+			for i, st := range results[:len(shards)] {
+				misp := st.PerThread[0].Branch.Mispredicts + st.PerThread[1].Branch.Mispredicts
+				total := uint64(st.PerThread[0].Branch.Records + st.PerThread[1].Branch.Records)
+				out[i] = fig6Cell{
+					Acc:     1 - float64(misp)/float64(total),
+					IPC:     st.HarmonicMeanIPC() / bl.ipc,
+					Rerands: stModels[i].Rerandomizations(),
+				}
+			}
+			return out, nil
 		})
 	if err != nil {
 		return Fig6Result{}, err

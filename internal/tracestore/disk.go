@@ -73,14 +73,14 @@ func (s *Store) diskPath(k Key) string {
 
 // loadDisk tries to satisfy a miss from the spill file, decoding
 // straight into columns (no intermediate []Record). A decoded trace
-// that does not match the key (wrong name or length: a stale or
-// foreign file) or that fails structural validation (bit rot that
-// survives varint framing — a flipped flag or address bit) is treated
-// as corrupt: without the check, a damaged spill would silently break
-// the determinism contract for every run sharing the directory. The
-// caller counts the hit — a decoded spill it cannot use (no derivable
-// profile) is a miss.
-func (s *Store) loadDisk(k Key) (*trace.Columns, bool) {
+// that does not match the key (a name other than name, the canonical
+// generated name for the key, or the wrong length: a stale or foreign
+// file) or that fails structural validation (bit rot that survives
+// varint framing — a flipped flag or address bit) is treated as
+// corrupt: without the check, a damaged spill would silently break the
+// determinism contract for every run sharing the directory. The caller
+// counts the hit.
+func (s *Store) loadDisk(k Key, name string) (*trace.Columns, bool) {
 	f, err := os.Open(s.diskPath(k))
 	if err != nil {
 		s.mu.Lock()
@@ -94,7 +94,7 @@ func (s *Store) loadDisk(k Key) (*trace.Columns, bool) {
 	}
 	defer f.Close()
 	cols, err := trace.ReadColumns(f)
-	if err != nil || cols.Name != k.Name || cols.Len() != k.Records || cols.Validate() != nil {
+	if err != nil || cols.Name != name || cols.Len() != k.Records || cols.Validate() != nil {
 		s.mu.Lock()
 		s.diskErrors++
 		s.mu.Unlock()

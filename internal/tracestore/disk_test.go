@@ -3,6 +3,7 @@ package tracestore
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -91,6 +92,52 @@ func TestDiskTierColumnsPath(t *testing.T) {
 		if got.Record(i) != want.Record(i) {
 			t.Fatalf("record %d diverges after disk round-trip", i)
 		}
+	}
+}
+
+// TestDiskTierServesAliasKeys: a preset alias key ("fotonik3d")
+// generates a trace carrying the canonical name ("549.fotonik3d"), and
+// its spill must still be served — by the decoder and by the mapped
+// tier — rather than counted as corrupt and regenerated.
+func TestDiskTierServesAliasKeys(t *testing.T) {
+	for _, mapped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mapped=%v", mapped), func(t *testing.T) {
+			if mapped && !mmapSupported {
+				t.Skip("mmap unsupported on this platform")
+			}
+			dir := t.TempDir()
+			open := func() *Store {
+				s := New(0, nil)
+				s.SetMapped(mapped)
+				if err := s.SetDir(dir); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			want, _, err := open().GetColumns("fotonik3d", 2_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Name != "549.fotonik3d" {
+				t.Fatalf("generated name %q, want the canonical 549.fotonik3d", want.Name)
+			}
+			second := open()
+			got, _, err := second.GetColumns("fotonik3d", 2_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := second.Stats(); st.DiskHits != 1 || st.DiskErrors != 0 || st.Generations != 0 {
+				t.Fatalf("second-store stats = %+v, want 1 disk hit, no errors, no generation", st)
+			}
+			if got.Name != want.Name || got.Len() != want.Len() {
+				t.Fatalf("shape mismatch: %d/%q vs %d/%q", got.Len(), got.Name, want.Len(), want.Name)
+			}
+			for i := 0; i < got.Len(); i++ {
+				if got.Record(i) != want.Record(i) {
+					t.Fatalf("record %d diverges after disk round-trip", i)
+				}
+			}
+		})
 	}
 }
 

@@ -86,7 +86,7 @@ const (
 // structural validation is corrupt: counted like the decode path's
 // torn files, and the caller regenerates and rewrites rather than
 // retrying a decode of the same bytes.
-func (s *Store) loadMapped(k Key) (*trace.Columns, *mapping, mapStatus) {
+func (s *Store) loadMapped(k Key, name string) (*trace.Columns, *mapping, mapStatus) {
 	data, err := mmapFile(s.diskPath(k))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -102,7 +102,7 @@ func (s *Store) loadMapped(k Key) (*trace.Columns, *mapping, mapStatus) {
 		return nil, nil, mapAbsent
 	}
 	cols, err := trace.MapColumns(data)
-	if err != nil || cols.Name != k.Name || cols.Len() != k.Records || cols.Validate() != nil {
+	if err != nil || cols.Name != name || cols.Len() != k.Records || cols.Validate() != nil {
 		munmapBytes(data)
 		s.noteDiskError()
 		return nil, nil, mapCorrupt
@@ -117,10 +117,11 @@ func (s *Store) loadMapped(k Key) (*trace.Columns, *mapping, mapStatus) {
 // tryDiskLoad is fill's disk probe, mode-aware: mapped mode maps v2
 // spills zero-copy, falls back to decoding v1 spills, and treats a
 // corrupt v2 file as a decode-path torn file (regenerate + rewrite,
-// without re-reading the known-bad bytes).
-func (s *Store) tryDiskLoad(k Key) (*trace.Columns, *mapping, bool) {
+// without re-reading the known-bad bytes). name is the trace name the
+// spill must carry: the canonical generated name for the key.
+func (s *Store) tryDiskLoad(k Key, name string) (*trace.Columns, *mapping, bool) {
 	if s.isMapped() && mmapSupported {
-		cols, m, status := s.loadMapped(k)
+		cols, m, status := s.loadMapped(k, name)
 		switch status {
 		case mapOK:
 			return cols, m, true
@@ -129,6 +130,6 @@ func (s *Store) tryDiskLoad(k Key) (*trace.Columns, *mapping, bool) {
 		}
 		// mapAbsent: fall through to the decoder.
 	}
-	cols, ok := s.loadDisk(k)
+	cols, ok := s.loadDisk(k, name)
 	return cols, nil, ok
 }

@@ -328,27 +328,26 @@ func (s *Store) entryFor(name string, records int) *entry {
 func (s *Store) fill(e *entry) {
 	name, records := e.key.Name, e.key.Records
 	if s.diskDir() != "" {
-		if cols, m, ok := s.tryDiskLoad(e.key); ok {
-			if prof, perr := s.profile(name, records); perr == nil {
-				e.cols, e.prof, e.mapped = cols, prof, m
-				s.mu.Lock()
-				s.diskHits++
-				if m != nil {
-					s.mmapHits++
-				}
-				s.mu.Unlock()
-				s.admit(e, false)
-				return
-			}
-			// A spill whose profile cannot be re-derived (a foreign file
-			// squatting on a name the preset table does not know) is
-			// useless: fall through, and let generation fail the same way.
-			if m != nil {
-				m.release() // store's reference; the finalizer drops the other
-			}
+		// The profile comes first: a spill carries the canonical name
+		// generation gives the trace, which differs from the key for
+		// preset aliases ("fotonik3d" generates "549.fotonik3d"). A key
+		// whose profile cannot be derived has no usable spill (a foreign
+		// file squatting on a name the preset table does not know):
+		// count the miss, and let generation fail the same way.
+		if prof, perr := s.profile(name, records); perr != nil {
 			s.mu.Lock()
 			s.diskMisses++
 			s.mu.Unlock()
+		} else if cols, m, ok := s.tryDiskLoad(e.key, prof.Name); ok {
+			e.cols, e.prof, e.mapped = cols, prof, m
+			s.mu.Lock()
+			s.diskHits++
+			if m != nil {
+				s.mmapHits++
+			}
+			s.mu.Unlock()
+			s.admit(e, false)
+			return
 		}
 	}
 	// Residency is columnar: the default pipeline generates straight
