@@ -8,7 +8,7 @@
 //
 // The analytic core's cycle count is the sum of two independent terms:
 //
-//   - the memory term (Memory): instruction counts plus dispatch,
+//   - the memory term: instruction counts plus dispatch,
 //     fetch-stall and load-stall cycles from one pass of the Table IV
 //     cache hierarchy over the trace. Block sizes and load addresses
 //     derive from each record's PC and target alone, so this term depends
@@ -115,22 +115,16 @@ func (r SMTResult) HarmonicMeanIPC() float64 {
 	return hm
 }
 
-// Memory is the trace-only term of the analytic core: what one pass of
+// memory is the trace-only term of the analytic core: what one pass of
 // the cache hierarchy over a trace (or an SMT pair's round-robin
 // interleave) charges, independent of any branch predictor.
-type Memory struct {
+type memory struct {
 	// Instructions is each thread's retired instruction count (thread 1
 	// stays zero for a single-thread run).
 	Instructions [2]uint64
 	// Cycles is the dispatch, fetch-stall and load-stall total on the
 	// shared core clock.
 	Cycles uint64
-}
-
-// MemoryTerm computes the memory term of a single-thread run of a (b ==
-// nil) or of the SMT co-run of a and b, on a fresh Table IV hierarchy.
-func MemoryTerm(ctx context.Context, cfg Config, a, b *trace.Columns) (Memory, error) {
-	return memoryTerm(ctx, cfg, cache.TableIVHierarchy(), a, b)
 }
 
 // runCheckInterval is how many records (SMT: rounds) the memory pass
@@ -193,17 +187,18 @@ func (p *memPass) row(cols *trace.Columns, i int) uint64 {
 	return uint64(block) + 1
 }
 
-// memoryTerm runs the memory pass on h. An SMT co-run (b != nil)
-// interleaves the threads round-robin — the order RunSMTColumns replays
-// the BPU in — and shares the ROB overlap window between them.
-func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns) (Memory, error) {
-	var m Memory
+// memoryTerm computes the memory term of a single-thread run of a (b ==
+// nil) or of the SMT co-run of a and b on h. An SMT co-run interleaves
+// the threads round-robin — the order RunSMTColumns replays the BPU in —
+// and shares the ROB overlap window between them.
+func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns) (memory, error) {
+	var m memory
 	if b == nil {
 		p := newMemPass(cfg, h, cfg.ROB/cfg.Width)
 		n := a.Len()
 		for lo := 0; lo < n; lo += runCheckInterval {
 			if err := ctx.Err(); err != nil {
-				return Memory{}, err
+				return memory{}, err
 			}
 			hi := min(lo+runCheckInterval, n)
 			for i := lo; i < hi; i++ {
@@ -211,7 +206,7 @@ func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return Memory{}, err
+			return memory{}, err
 		}
 		m.Cycles = p.cycles
 		return m, nil
@@ -221,7 +216,7 @@ func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace
 	rounds := max(na, nb)
 	for lo := 0; lo < rounds; lo += runCheckInterval {
 		if err := ctx.Err(); err != nil {
-			return Memory{}, err
+			return memory{}, err
 		}
 		hi := min(lo+runCheckInterval, rounds)
 		for r := lo; r < hi; r++ {
@@ -234,7 +229,7 @@ func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return Memory{}, err
+		return memory{}, err
 	}
 	m.Cycles = p.cycles
 	return m, nil
@@ -276,31 +271,27 @@ func hashRow(pc, target uint64, i int) uint64 {
 }
 
 // withMemory runs the memory term on its own goroutine while replay runs
-// the branch term, and returns both outcomes. It always waits for the
-// memory pass, so h is never touched after it returns.
-func withMemory(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns,
-	replay func() ([]sim.Result, error)) (Memory, []sim.Result, error) {
-	var mem Memory
+// the branch term. It always waits for the memory pass, so h is never
+// touched after it returns.
+func withMemory(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns, replay func() error) (memory, error) {
+	var mem memory
 	var memErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		mem, memErr = memoryTerm(ctx, cfg, h, a, b)
 	}()
-	rs, err := replay()
+	err := replay()
 	<-done
 	if err != nil {
-		return Memory{}, nil, err
+		return memory{}, err
 	}
-	if memErr != nil {
-		return Memory{}, nil, memErr
-	}
-	return mem, rs, nil
+	return mem, memErr
 }
 
 // cycles is the analytic core's total: the memory term plus the branch
 // term.
-func (cfg Config) cycles(mem Memory, mispredicts uint64) uint64 {
+func (cfg Config) cycles(mem memory, mispredicts uint64) uint64 {
 	return mem.Cycles + uint64(cfg.MispredictPenalty)*mispredicts
 }
 
@@ -313,8 +304,10 @@ func RunColumns(ctx context.Context, cfg Config, models []sim.Model, cols *trace
 }
 
 func runColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models []sim.Model, cols *trace.Columns) ([]Result, error) {
-	mem, rs, err := withMemory(ctx, cfg, h, cols, nil, func() ([]sim.Result, error) {
-		return sim.RunColumnsMulti(ctx, models, cols)
+	var rs []sim.Result
+	mem, err := withMemory(ctx, cfg, h, cols, nil, func() (err error) {
+		rs, err = sim.RunColumnsMulti(ctx, models, cols)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -336,7 +329,7 @@ func runColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models []si
 // model: records interleave round-robin (ICOUNT-style fairness), the BPU
 // and caches are shared, and both threads accumulate cycles on the shared
 // clock. The memory term runs once on a fresh Table IV hierarchy; every
-// model replays one interleaved view of the pair (Interleave) with its
+// model replays one interleaved view of the pair (interleave) with its
 // rows routed to per-thread counters. results[i] is exactly what
 // New(cfg, models[i]).RunSMTCtx returns on the same pair.
 func RunSMTColumns(ctx context.Context, cfg Config, models []sim.Model, a, b *trace.Columns) ([]SMTResult, error) {
@@ -344,7 +337,7 @@ func RunSMTColumns(ctx context.Context, cfg Config, models []sim.Model, a, b *tr
 }
 
 func runSMTColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models []sim.Model, a, b *trace.Columns) ([]SMTResult, error) {
-	pair := Interleave(a, b)
+	pair := interleave(a, b)
 	split := 2 * min(a.Len(), b.Len())
 	tail := 0
 	if b.Len() > a.Len() {
@@ -356,8 +349,9 @@ func runSMTColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models [
 		routed[i] = newThreadModel(m, split, tail)
 		wrapped[i] = routed[i]
 	}
-	mem, _, err := withMemory(ctx, cfg, h, a, b, func() ([]sim.Result, error) {
-		return sim.RunColumnsMulti(ctx, wrapped, pair)
+	mem, err := withMemory(ctx, cfg, h, a, b, func() error {
+		_, err := sim.RunColumnsMulti(ctx, wrapped, pair)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -397,12 +391,12 @@ func counterResult(c bpu.Counters, records int) sim.Result {
 	}
 }
 
-// Interleave builds the SMT replay view of a pair: rows alternate a[0],
+// interleave builds the SMT replay view of a pair: rows alternate a[0],
 // b[0], a[1], b[1], ... while both threads have records, then the
 // longer thread's tail follows. Thread 1's entities are offset into a
 // disjoint range (PID += 1<<16, Program += 1<<12, both wrapping) so the
 // two threads never collide in the token table.
-func Interleave(a, b *trace.Columns) *trace.Columns {
+func interleave(a, b *trace.Columns) *trace.Columns {
 	n := a.Len() + b.Len()
 	v := &trace.Columns{
 		Name:     a.Name + "+" + b.Name,
@@ -430,7 +424,7 @@ func Interleave(a, b *trace.Columns) *trace.Columns {
 	return v
 }
 
-// threadModel routes each row of an Interleave view to its thread's
+// threadModel routes each row of an interleave view to its thread's
 // counters: rows below split alternate thread 0 and thread 1, and the
 // remaining rows belong to the tail thread. Rows fold into per only —
 // not into the replay's accumulator — so runSMTColumns reads a model's

@@ -292,8 +292,8 @@ func TestMemoryTermCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cols := trace.FromTrace(randomTrace(rand.New(rand.NewSource(1)), "a", 100))
-	if _, err := MemoryTerm(ctx, TableIVConfig(), cols, nil); err != context.Canceled {
-		t.Errorf("MemoryTerm: err %v, want context.Canceled", err)
+	if _, err := memoryTerm(ctx, TableIVConfig(), cache.TableIVHierarchy(), cols, nil); err != context.Canceled {
+		t.Errorf("memoryTerm: err %v, want context.Canceled", err)
 	}
 	if _, err := RunSMTColumns(ctx, TableIVConfig(), []sim.Model{baselineModel(core.DirSKLCond)}, cols, cols); err != context.Canceled {
 		t.Errorf("RunSMTColumns: err %v, want context.Canceled", err)

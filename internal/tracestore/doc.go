@@ -10,9 +10,9 @@
 // # Columnar residency
 //
 // The stored representation is trace.Columns — the struct-of-arrays
-// view the replay fast path (sim.RunColumnsCtx) consumes directly via
-// GetColumns. Consumers that need AoS records (the cycle-accurate CPU
-// pipeline) call Get, which materializes the record view from the
+// view the replay fast path (sim.RunColumnsCtx, and the CPU timing
+// model behind fig4–6) consumes directly via GetColumns. Consumers that
+// need AoS records call Get, which materializes the record view from the
 // stored columns at most once per residency and shares it. Byte
 // accounting goes through the SizeOf hook (default ExactSize): entries
 // are charged the capacity-exact footprint of what they actually pin —
@@ -35,7 +35,9 @@
 // as STBT files keyed by (name, records) and are decoded — straight
 // into columns, skipping the intermediate []Record — by later runs and
 // by exec workers sharing the machine. Writes are atomic (temp file +
-// rename), bad files fall back to regeneration, and because generation
+// rename), a spill must carry the canonical name generation gives its
+// key (presets resolve aliases: "fotonik3d" spills as "549.fotonik3d"),
+// bad files fall back to regeneration, and because generation
 // is deterministic a decoded spill is bit-identical to regenerating,
 // so the tier changes wall-clock only. The stbpu-suite and stbpu-bench
 // front-ends expose it as -trace-dir.
