@@ -192,34 +192,20 @@ func (p *memPass) row(cols *trace.Columns, i int) uint64 {
 // the threads round-robin — the order RunSMTColumns replays the BPU in —
 // and shares the ROB overlap window between them.
 func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace.Columns) (memory, error) {
-	var m memory
-	if b == nil {
-		p := newMemPass(cfg, h, cfg.ROB/cfg.Width)
-		n := a.Len()
-		for lo := 0; lo < n; lo += runCheckInterval {
-			if err := ctx.Err(); err != nil {
-				return memory{}, err
-			}
-			hi := min(lo+runCheckInterval, n)
-			for i := lo; i < hi; i++ {
-				m.Instructions[0] += p.row(a, i)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return memory{}, err
-		}
-		m.Cycles = p.cycles
-		return m, nil
+	robOverlap := cfg.ROB / cfg.Width
+	na, nb := a.Len(), 0
+	if b != nil {
+		robOverlap /= 2 // window shared by threads
+		nb = b.Len()
 	}
-	p := newMemPass(cfg, h, cfg.ROB/cfg.Width/2) // window shared by threads
-	na, nb := a.Len(), b.Len()
+	p := newMemPass(cfg, h, robOverlap)
 	rounds := max(na, nb)
+	var m memory
 	for lo := 0; lo < rounds; lo += runCheckInterval {
 		if err := ctx.Err(); err != nil {
 			return memory{}, err
 		}
-		hi := min(lo+runCheckInterval, rounds)
-		for r := lo; r < hi; r++ {
+		for r := lo; r < min(lo+runCheckInterval, rounds); r++ {
 			if r < na {
 				m.Instructions[0] += p.row(a, r)
 			}
@@ -227,9 +213,6 @@ func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace
 				m.Instructions[1] += p.row(b, r)
 			}
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return memory{}, err
 	}
 	m.Cycles = p.cycles
 	return m, nil

@@ -9,6 +9,7 @@ import (
 	"stbpu/internal/bpu"
 	"stbpu/internal/cache"
 	"stbpu/internal/core"
+	"stbpu/internal/defenses"
 	"stbpu/internal/sim"
 	"stbpu/internal/token"
 	"stbpu/internal/trace"
@@ -155,7 +156,8 @@ func randomTrace(rng *rand.Rand, name string, n int) *trace.Trace {
 // oracleModels lists every model kind the timing figures and the Fig. 3
 // lineup use: the five Fig. 3 models, and each Fig. 4 direction
 // predictor unprotected and under STBPU. Thresholds are small enough
-// that re-randomizations fire on short traces.
+// that re-randomizations fire on short traces. One defense model, which
+// has only Step, covers the engine's per-record fallback.
 func oracleModels() map[string]func() sim.Model {
 	th := token.Thresholds{Mispredictions: 40, Evictions: 25, TageMispredictions: 30}
 	out := map[string]func() sim.Model{}
@@ -171,6 +173,9 @@ func oracleModels() map[string]func() sim.Model {
 		out["st_"+dir.String()] = func() sim.Model {
 			return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: dir, Thresholds: &th, Seed: 11})}
 		}
+	}
+	out["defense_"+defenses.KindBSUP.String()] = func() sim.Model {
+		return defenses.New(defenses.KindBSUP, defenses.Options{Seed: 13})
 	}
 	return out
 }
