@@ -44,7 +44,11 @@ func TestBTBMissImpliesMispredict(t *testing.T) {
 	for i := range pcs {
 		pcs[i] = rng.Uint64() & trace.VAMask &^ 3
 	}
-	recs := make([]trace.Record, 10_000)
+	n := 10_000
+	if testing.Short() {
+		n = 2_000
+	}
+	recs := make([]trace.Record, n)
 	for i := range recs {
 		pc := pcs[rng.Intn(len(pcs))]
 		k := trace.Kind(rng.Intn(6))

@@ -454,13 +454,6 @@ func (m *threadModel) StepColumns(cols *trace.Columns, lo, hi int, _ *bpu.Counte
 	}
 }
 
-// Finalize implements sim.Finalizer by forwarding to the inner model.
-func (m *threadModel) Finalize(res *sim.Result) {
-	if f, ok := m.inner.(sim.Finalizer); ok {
-		f.Finalize(res)
-	}
-}
-
 // Core is a single simulated OoO core: one BPU model and one cache
 // hierarchy that persist across runs.
 type Core struct {
