@@ -12,7 +12,6 @@ import (
 	"stbpu/internal/attacks"
 	"stbpu/internal/bpu"
 	"stbpu/internal/core"
-	"stbpu/internal/cpu"
 	"stbpu/internal/experiments"
 	"stbpu/internal/remap"
 	"stbpu/internal/rng"
@@ -370,45 +369,6 @@ func BenchmarkComparison_Defenses(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(open), "open_cells")
-	}
-}
-
-// BenchmarkAblation_TimingEngines compares the interval timing model
-// against the stage-driven pipeline engine on the same workload and BPU
-// pair. The reproduction claim of Fig. 4 rests on *relative* IPC between
-// an ST model and its unprotected twin; both engines must agree on that
-// ratio even though their absolute IPCs differ.
-func BenchmarkAblation_TimingEngines(b *testing.B) {
-	prof, err := trace.Preset("505.mcf")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := trace.Generate(prof.WithRecords(20_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	newModels := func() (sim.Model, sim.Model) {
-		unprot := &sim.UnitModel{ModelName: "baseline", Unit: core.NewUnprotectedUnit(core.DirSKLCond)}
-		prot := &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: 7})}
-		return unprot, prot
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		unprot, prot := newModels()
-		ivU := cpu.New(cpu.TableIVConfig(), unprot).Run(tr).IPC()
-		ivP := cpu.New(cpu.TableIVConfig(), prot).Run(tr).IPC()
-
-		unprot, prot = newModels()
-		pU, err := cpu.NewPipeline(cpu.DefaultPipelineConfig(), unprot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pP, err := cpu.NewPipeline(cpu.DefaultPipelineConfig(), prot)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(ivP/ivU, "interval_norm_ipc")
-		b.ReportMetric(pP.Run(tr).IPC()/pU.Run(tr).IPC(), "pipeline_norm_ipc")
 	}
 }
 

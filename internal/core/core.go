@@ -313,9 +313,16 @@ func (m *Model) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 
 	pred := m.unit.Predict(rec.PC, rec.Kind)
 	ev := m.unit.Update(rec, pred)
+	m.monitor(key, ev)
+	return pred, ev
+}
 
-	// Threshold monitoring. TAGE models route tagged-bank mispredictions
-	// to their dedicated register (§VII-B2).
+// monitor is the threshold monitoring that follows every update: it
+// charges a misprediction or BTB eviction to the entity's token budget
+// and installs the re-randomized token when a budget runs out. TAGE
+// models route tagged-bank mispredictions to their dedicated register
+// (§VII-B2).
+func (m *Model) monitor(key uint64, ev bpu.Events) {
 	if ev.Mispredict {
 		viaTage := false
 		if m.tagePred != nil && m.separateTage {
@@ -342,7 +349,6 @@ func (m *Model) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 			m.applyST(st)
 		}
 	}
-	return pred, ev
 }
 
 // StepBatch processes a slice of retired branches, folding resolution
@@ -392,34 +398,7 @@ func (m *Model) StepColumns(cols *trace.Columns, lo, hi int, acc *bpu.Counters) 
 			Kind:   kind,
 			Taken:  f&trace.FlagTaken != 0,
 		}, pred)
-
-		// Threshold monitoring, exactly as in Step.
-		if ev.Mispredict {
-			viaTage := false
-			if m.tagePred != nil && m.separateTage {
-				if tm := m.tagePred.TageMispredicts; tm != m.lastTageMisp {
-					m.lastTageMisp = tm
-					viaTage = true
-				}
-			}
-			var st token.ST
-			var rerand bool
-			if viaTage {
-				st, rerand = m.mgr.OnTageMisprediction(key)
-			} else {
-				st, rerand = m.mgr.OnMisprediction(key)
-			}
-			if rerand {
-				m.applyST(st)
-			}
-		} else if m.tagePred != nil {
-			m.lastTageMisp = m.tagePred.TageMispredicts
-		}
-		if ev.BTBEviction {
-			if st, rerand := m.mgr.OnEviction(key); rerand {
-				m.applyST(st)
-			}
-		}
+		m.monitor(key, ev)
 		acc.Note(ev)
 	}
 }

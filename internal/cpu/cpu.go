@@ -48,11 +48,11 @@ type Config struct {
 	// MispredictPenalty is the front-end redirect + refill cost.
 	MispredictPenalty int
 	// BTBMissPenalty is the fetch bubble for a taken branch without a
-	// target. Only PipelineCore's fetch stall charges it. The analytic
-	// core never does: bpu.Unit.Update reports a BTB miss only on a
-	// taken branch with no predicted target, which is always also a
-	// misprediction, and the misprediction penalty already covers the
-	// redirect.
+	// target. No engine charges it: bpu.Unit.Update reports a BTB miss
+	// only on a taken branch with no predicted target, which is always
+	// also a misprediction, and the misprediction penalty already covers
+	// the redirect. Only the test oracle reads it, on a branch that
+	// bpu's TestBTBMissImpliesMispredict shows never runs.
 	BTBMissPenalty int
 
 	// InstrPerBranch is the mean non-branch instructions per branch
@@ -221,7 +221,7 @@ func memoryTerm(ctx context.Context, cfg Config, h *cache.Hierarchy, a, b *trace
 // loadAddr synthesizes a data address for load l of a block with realistic
 // locality: ~90% of accesses fall in a hot 64KB region, ~9% in a warm 1MB
 // region, and the rest sweep the full footprint — giving the L1/L2/LLC hit
-// rates real SPEC workloads exhibit. Both timing engines share it.
+// rates real SPEC workloads exhibit.
 func loadAddr(footprint, h uint64, l int) uint64 {
 	x := h>>8 ^ uint64(l)*0x2545f4914f6cdd1d
 	x ^= x >> 31
@@ -329,7 +329,8 @@ func runSMTColumns(ctx context.Context, cfg Config, h *cache.Hierarchy, models [
 	routed := make([]*threadModel, len(models))
 	wrapped := make([]sim.Model, len(models))
 	for i, m := range models {
-		routed[i] = newThreadModel(m, split, tail)
+		cm, _ := m.(sim.ColumnModel)
+		routed[i] = &threadModel{inner: m, cm: cm, split: split, tail: tail}
 		wrapped[i] = routed[i]
 	}
 	mem, err := withMemory(ctx, cfg, h, a, b, func() error {
@@ -418,11 +419,6 @@ type threadModel struct {
 	split int
 	tail  int
 	per   [2]bpu.Counters
-}
-
-func newThreadModel(m sim.Model, split, tail int) *threadModel {
-	cm, _ := m.(sim.ColumnModel)
-	return &threadModel{inner: m, cm: cm, split: split, tail: tail}
 }
 
 // Name implements sim.Model.

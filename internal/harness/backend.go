@@ -407,6 +407,9 @@ type MultiBackend struct {
 	ring    []int // entry indices expanded by weight
 	next    atomic.Uint64
 	retries []atomic.Uint64 // per entry: cells requeued after it failed
+	// busy serializes Backend.Run per entry, so a permanent failure
+	// cancels the batch before any other chunk reaches that backend.
+	busy []sync.Mutex
 }
 
 // NewMultiBackend builds the router; it panics on an empty entry list so
@@ -415,7 +418,7 @@ func NewMultiBackend(entries ...WeightedBackend) *MultiBackend {
 	if len(entries) == 0 {
 		panic("harness: NewMultiBackend with no backends")
 	}
-	m := &MultiBackend{entries: entries, retries: make([]atomic.Uint64, len(entries))}
+	m := &MultiBackend{entries: entries, retries: make([]atomic.Uint64, len(entries)), busy: make([]sync.Mutex, len(entries))}
 	for i, e := range entries {
 		w := e.Weight
 		if w <= 0 {
@@ -517,14 +520,20 @@ func (m *MultiBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 		go func(c chunk) {
 			defer wg.Done()
 			var lastErr error
+			held := -1 // entry whose busy lock this chunk holds
 			for attempt := 0; attempt < len(m.entries); attempt++ {
+				idx := (c.entry + attempt) % len(m.entries)
+				m.busy[idx].Lock()
+				held = idx
+				// Checked after the wait: another chunk may have failed
+				// the batch while this one queued for idx.
 				if ctx.Err() != nil {
 					lastErr = ctx.Err()
 					break
 				}
-				idx := (c.entry + attempt) % len(m.entries)
 				res, err := m.entries[idx].Backend.Run(ctx, c.specs)
 				if err == nil {
+					m.busy[idx].Unlock()
 					mu.Lock()
 					merged = append(merged, res...)
 					mu.Unlock()
@@ -533,10 +542,18 @@ func (m *MultiBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 				lastErr = fmt.Errorf("backend %s: %w", m.entries[idx].Backend.Name(), err)
 				if errors.Is(err, ErrPermanent) {
 					// A deterministic cell/scenario failure would repeat
-					// identically on every backend: propagate immediately
-					// instead of retrying it across the whole ring.
+					// identically on every backend: fail the batch while
+					// still holding idx, so no queued chunk runs on it.
 					break
 				}
+				if ctx.Err() != nil {
+					// Canceled mid-run: the backend did not fail the
+					// chunk, so it is not charged a requeue.
+					lastErr = ctx.Err()
+					break
+				}
+				m.busy[idx].Unlock()
+				held = -1
 				// Requeue: charge the failed backend for every cell that
 				// now has to run elsewhere.
 				m.retries[idx].Add(uint64(len(c.specs)))
@@ -547,6 +564,9 @@ func (m *MultiBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 			}
 			mu.Unlock()
 			cancel()
+			if held >= 0 {
+				m.busy[held].Unlock()
+			}
 		}(c)
 	}
 	wg.Wait()

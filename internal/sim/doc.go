@@ -19,15 +19,15 @@
 //
 // # Replay engine
 //
-// The hot path is columnar: RunColumnsCtx replays a trace.Columns
-// (struct-of-arrays) view in 8192-record chunks through the
-// ColumnModel fast path (StepColumns iterates the packed arrays with
-// branchless flag extraction, accumulating events in-model via
-// bpu.Counters). RunCtx serves AoS record slices through the
-// BatchModel path; Step remains as a compatibility shim for models
-// that only implement Model, and RunColumnsCtx materializes records
-// for pre-columnar models, so every model replays on every path with
-// bit-identical results (pinned by tests). Run-scoped counters surface
+// The hot path is columnar: RunColumnsMulti replays a trace.Columns
+// (struct-of-arrays) view through one or more models in 8192-record
+// chunks via the ColumnModel fast path (StepColumns iterates the
+// packed arrays with branchless flag extraction, accumulating events
+// in-model via bpu.Counters); RunColumnsCtx is its one-model case.
+// RunCtx serves AoS record slices through the BatchModel path. Models
+// that only implement Model replay on both paths through per-record
+// Step, so every model replays on every path with bit-identical
+// results (pinned by tests). Run-scoped counters surface
 // through the optional Finalizer interface. Replay is deterministic
 // for a fixed (trace, model, seed), which is what lets the harness
 // distribute cells across processes — see docs/ARCHITECTURE.md

@@ -41,9 +41,9 @@ type BatchModel interface {
 // into acc. Implementations iterate the packed arrays directly —
 // branchless flag extraction, no per-record struct copy from the trace
 // stream — and must be bit-identical to stepping the equivalent
-// records through StepBatch/Step. RunColumnsCtx uses it when a model
-// implements it and falls back to materializing chunk-sized record
-// batches otherwise, so external models keep working unchanged.
+// records through Step. RunColumnsCtx uses it when a model implements
+// it and falls back to per-record Step otherwise, so external models
+// keep working unchanged.
 type ColumnModel interface {
 	StepColumns(cols *trace.Columns, lo, hi int, acc *Counters)
 }
@@ -128,17 +128,10 @@ func RunCtx(ctx context.Context, m Model, tr *trace.Trace) (Result, error) {
 				return Result{}, err
 			}
 		}
-		end := start + runCheckInterval
-		if end > len(recs) {
-			end = len(recs)
-		}
+		end := min(start+runCheckInterval, len(recs))
 		// Context/mode switch accounting is model-independent: compare
 		// each record against its predecessor across chunk boundaries.
-		from := start
-		if from == 0 {
-			from = 1
-		}
-		for i := from; i < end; i++ {
+		for i := max(start, 1); i < end; i++ {
 			if recs[i].PID != recs[i-1].PID {
 				res.CtxSwitches++
 			}
@@ -155,14 +148,20 @@ func RunCtx(ctx context.Context, m Model, tr *trace.Trace) (Result, error) {
 			}
 		}
 	}
+	finish(&res, m, acc)
+	return res, nil
+}
+
+// finish folds a completed run's event counters into res and lets the
+// model report its run-scoped counters.
+func finish(res *Result, m Model, acc Counters) {
 	res.Mispredicts = acc.Mispredicts
 	res.Conds, res.DirCorrect = acc.Conds, acc.DirCorrect
 	res.TargetKnown, res.TargetCorrect = acc.TargetKnown, acc.TargetCorrect
 	res.Evictions, res.BTBMisses = acc.Evictions, acc.BTBMisses
 	if f, ok := m.(Finalizer); ok {
-		f.Finalize(&res)
+		f.Finalize(res)
 	}
-	return res, nil
 }
 
 // RunColumns replays a columnar trace through a model.
@@ -172,195 +171,107 @@ func RunColumns(m Model, cols *trace.Columns) Result {
 }
 
 // RunColumnsCtx replays a struct-of-arrays trace through a model — the
-// columnar twin of RunCtx, and the suite's hot replay path. Chunking,
-// cancellation, and context/mode-switch accounting match RunCtx
-// exactly; the switch accounting reads only the PID column and the
-// kernel flag bit, so the model-independent scan never touches the
-// other columns. Models implementing ColumnModel step the packed
-// arrays in place; BatchModel-only models receive chunk-sized record
-// batches materialized into one reused scratch buffer; bare Models
-// step materialized records one at a time. All three paths are
-// bit-identical (pinned by tests).
+// columnar twin of RunCtx, and the suite's hot replay path. It is
+// RunColumnsMulti with one model, which steps inline on the calling
+// goroutine.
 func RunColumnsCtx(ctx context.Context, m Model, cols *trace.Columns) (Result, error) {
+	rs, err := RunColumnsMulti(ctx, []Model{m}, cols)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
+// replayState is one model's private replay state: the resolved columnar
+// fast path (nil: step materialized records through Step) and the
+// model's event accumulator.
+type replayState struct {
+	m   Model
+	cm  ColumnModel
+	acc Counters
+}
+
+// step replays rows [start,end) through this model.
+func (st *replayState) step(cols *trace.Columns, start, end int) {
+	if st.cm != nil {
+		st.cm.StepColumns(cols, start, end, &st.acc)
+		return
+	}
+	for i := start; i < end; i++ {
+		_, ev := st.m.Step(cols.Record(i))
+		st.acc.Note(ev)
+	}
+}
+
+// serve steps the chunk ranges sent on work until work is closed.
+func (st *replayState) serve(cols *trace.Columns, work <-chan [2]int, wg *sync.WaitGroup) {
+	for rng := range work {
+		st.step(cols, rng[0], rng[1])
+		wg.Done()
+	}
+}
+
+// RunColumnsMulti replays one resident columnar trace through N models
+// in a single pass, chunked exactly as RunCtx chunks a record slice:
+// runCheckInterval records per chunk, one cancellation check up front
+// and one between chunks. The model-independent context/mode-switch
+// scan reads only the PID column and the kernel flag bit, once per
+// chunk. Then every model steps the chunk — one model inline, several
+// concurrently, joined before the next chunk — so the hot slice of the
+// packed arrays is read N times while it is still in cache. Per-model
+// state never crosses a goroutine, so results[i] is bit-identical to
+// RunColumnsCtx(ctx, models[i], cols): the determinism contract the
+// trace-major scheduler relies on, pinned by
+// TestRunColumnsMultiMatchesSequential.
+func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) ([]Result, error) {
 	// The columns may be a zero-copy view of an mmap'd STBT spill whose
 	// mapping is released by a finalizer on cols; the packed slices alone
 	// do not keep cols (and thus the mapping) alive, so pin it for the
 	// whole replay.
 	defer runtime.KeepAlive(cols)
-	n := cols.Len()
-	res := Result{Model: m.Name(), Workload: cols.Name, Records: n}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	cm, columnar := m.(ColumnModel)
-	bm, batched := m.(BatchModel)
-	var scratch []trace.Record
-	if !columnar && batched {
-		scratch = make([]trace.Record, 0, runCheckInterval)
-	}
-	var acc Counters
-	pids, flags := cols.PIDs, cols.Flags
-	for start := 0; start < n; start += runCheckInterval {
-		if start > 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		end := start + runCheckInterval
-		if end > n {
-			end = n
-		}
-		from := start
-		if from == 0 {
-			from = 1
-		}
-		for i := from; i < end; i++ {
-			if pids[i] != pids[i-1] {
-				res.CtxSwitches++
-			}
-			if (flags[i]^flags[i-1])&trace.FlagKernel != 0 {
-				res.ModeSwitches++
-			}
-		}
-		switch {
-		case columnar:
-			cm.StepColumns(cols, start, end, &acc)
-		case batched:
-			scratch = cols.AppendRecords(scratch[:0], start, end)
-			bm.StepBatch(scratch, &acc)
-		default:
-			for i := start; i < end; i++ {
-				_, ev := m.Step(cols.Record(i))
-				acc.Note(ev)
-			}
-		}
-	}
-	res.Mispredicts = acc.Mispredicts
-	res.Conds, res.DirCorrect = acc.Conds, acc.DirCorrect
-	res.TargetKnown, res.TargetCorrect = acc.TargetKnown, acc.TargetCorrect
-	res.Evictions, res.BTBMisses = acc.Evictions, acc.BTBMisses
-	if f, ok := m.(Finalizer); ok {
-		f.Finalize(&res)
-	}
-	return res, nil
-}
-
-// multiState is one model's private replay state inside RunColumnsMulti:
-// the resolved fast-path interfaces, the per-model scratch buffer for the
-// batched fallback, and the per-model event accumulator. Everything in it
-// is touched by exactly one goroutine per chunk, so models never share
-// mutable state.
-type multiState struct {
-	m        Model
-	cm       ColumnModel
-	bm       BatchModel
-	columnar bool
-	batched  bool
-	scratch  []trace.Record
-	acc      Counters
-}
-
-// step replays rows [start,end) through this model, dispatching exactly
-// like RunColumnsCtx's per-chunk switch.
-func (st *multiState) step(cols *trace.Columns, start, end int) {
-	switch {
-	case st.columnar:
-		st.cm.StepColumns(cols, start, end, &st.acc)
-	case st.batched:
-		st.scratch = cols.AppendRecords(st.scratch[:0], start, end)
-		st.bm.StepBatch(st.scratch, &st.acc)
-	default:
-		for i := start; i < end; i++ {
-			_, ev := st.m.Step(cols.Record(i))
-			st.acc.Note(ev)
-		}
-	}
-}
-
-// RunColumnsMulti replays one resident columnar trace through N models in
-// a single pass — the trace-major twin of RunColumnsCtx. The trace is
-// chunked exactly as RunColumnsCtx chunks it (runCheckInterval records,
-// one cancellation check between chunks), the model-independent
-// context/mode-switch scan runs once per chunk instead of once per model,
-// and then every model steps the chunk concurrently (one goroutine per
-// model, joined before the next chunk) so the hot slice of the packed
-// arrays is read N times while it is still in cache and the models'
-// predictor work overlaps across cores. Per-model state never crosses a
-// goroutine, so results[i] is bit-identical to RunColumnsCtx(ctx,
-// models[i], cols) — the determinism contract the trace-major scheduler
-// relies on, pinned by TestRunColumnsMultiMatchesSequential. A single
-// model delegates to RunColumnsCtx outright.
-func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) ([]Result, error) {
-	if len(models) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	if len(models) == 1 {
-		res, err := RunColumnsCtx(ctx, models[0], cols)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{res}, nil
-	}
-	defer runtime.KeepAlive(cols) // see RunColumnsCtx: mmap'd views
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if len(models) == 0 {
+		return nil, nil
+	}
 	n := cols.Len()
-	results := make([]Result, len(models))
-	states := make([]multiState, len(models))
+	states := make([]replayState, len(models))
 	for i, m := range models {
-		results[i] = Result{Model: m.Name(), Workload: cols.Name, Records: n}
-		st := &states[i]
-		st.m = m
-		st.cm, st.columnar = m.(ColumnModel)
-		st.bm, st.batched = m.(BatchModel)
-		if !st.columnar && st.batched {
-			st.scratch = make([]trace.Record, 0, runCheckInterval)
+		states[i].m = m
+		states[i].cm, _ = m.(ColumnModel)
+	}
+	// Several models step on persistent workers, one goroutine per model
+	// fed chunk ranges over a buffered channel: spawning a goroutine per
+	// model per chunk dominated the trace-major allocation profile. The
+	// send happens-before the worker's receive and wg.Done happens-before
+	// wg.Wait returns, so each model's state is touched by exactly one
+	// goroutine at a time.
+	var wg *sync.WaitGroup
+	var work []chan [2]int
+	if len(states) > 1 {
+		wg = new(sync.WaitGroup)
+		work = make([]chan [2]int, len(states))
+		for i := range states {
+			work[i] = make(chan [2]int, 1)
+			go states[i].serve(cols, work[i], wg)
 		}
+		defer func() {
+			for _, ch := range work {
+				close(ch)
+			}
+		}()
 	}
 	var ctxSwitches, modeSwitches uint64
 	pids, flags := cols.PIDs, cols.Flags
-	// One persistent worker goroutine per model, spawned once and fed
-	// chunk ranges over a buffered channel — spawning len(states)
-	// goroutines (each with a fresh closure) per chunk dominated the
-	// trace-major allocation profile. The channel send happens-before
-	// the worker's receive and wg.Done happens-before wg.Wait returns,
-	// so each chunk's per-model state is still touched by exactly one
-	// goroutine at a time.
-	var wg sync.WaitGroup
-	work := make([]chan [2]int, len(states))
-	for i := range states {
-		work[i] = make(chan [2]int, 1)
-		go func(st *multiState, ch <-chan [2]int) {
-			for rng := range ch {
-				st.step(cols, rng[0], rng[1])
-				wg.Done()
-			}
-		}(&states[i], work[i])
-	}
-	defer func() {
-		for i := range work {
-			close(work[i])
-		}
-	}()
 	for start := 0; start < n; start += runCheckInterval {
 		if start > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		end := start + runCheckInterval
-		if end > n {
-			end = n
-		}
-		from := start
-		if from == 0 {
-			from = 1
-		}
-		for i := from; i < end; i++ {
+		end := min(start+runCheckInterval, n)
+		for i := max(start, 1); i < end; i++ {
 			if pids[i] != pids[i-1] {
 				ctxSwitches++
 			}
@@ -368,23 +279,24 @@ func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) (
 				modeSwitches++
 			}
 		}
-		wg.Add(len(states))
-		for i := range work {
-			work[i] <- [2]int{start, end}
+		if work == nil {
+			states[0].step(cols, start, end)
+			continue
+		}
+		wg.Add(len(work))
+		for _, ch := range work {
+			ch <- [2]int{start, end}
 		}
 		wg.Wait()
 	}
+	results := make([]Result, len(states))
 	for i := range states {
 		st := &states[i]
-		res := &results[i]
-		res.CtxSwitches, res.ModeSwitches = ctxSwitches, modeSwitches
-		res.Mispredicts = st.acc.Mispredicts
-		res.Conds, res.DirCorrect = st.acc.Conds, st.acc.DirCorrect
-		res.TargetKnown, res.TargetCorrect = st.acc.TargetKnown, st.acc.TargetCorrect
-		res.Evictions, res.BTBMisses = st.acc.Evictions, st.acc.BTBMisses
-		if f, ok := st.m.(Finalizer); ok {
-			f.Finalize(res)
+		results[i] = Result{
+			Model: st.m.Name(), Workload: cols.Name, Records: n,
+			CtxSwitches: ctxSwitches, ModeSwitches: modeSwitches,
 		}
+		finish(&results[i], st.m, st.acc)
 	}
 	return results, nil
 }

@@ -304,8 +304,8 @@ func TestFinalizerReportsRunScopedCounters(t *testing.T) {
 	}
 }
 
-// cancelingBatcher cancels the run's context from inside StepBatch, so the
-// test can pin down where the batched path observes cancellation.
+// cancelingBatcher cancels the run's context from inside each chunk it
+// steps, so the tests can pin down where replay observes cancellation.
 type cancelingBatcher struct {
 	m       Model
 	cancel  context.CancelFunc
@@ -316,6 +316,14 @@ func (c *cancelingBatcher) Name() string                                       {
 func (c *cancelingBatcher) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return c.m.Step(rec) }
 func (c *cancelingBatcher) StepBatch(recs []trace.Record, acc *Counters) {
 	c.m.(BatchModel).StepBatch(recs, acc)
+	c.batches++
+	c.cancel()
+}
+
+// StepColumns is the columnar twin of StepBatch, so the columnar replay
+// paths count their chunks the same way.
+func (c *cancelingBatcher) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
+	c.m.(ColumnModel).StepColumns(cols, lo, hi, acc)
 	c.batches++
 	c.cancel()
 }
@@ -356,58 +364,56 @@ func TestRunCtxCanceledMidReplay(t *testing.T) {
 	}
 }
 
-// batchOnly hides a model's ColumnModel implementation (keeping
-// StepBatch) so RunColumnsCtx takes the scratch-buffer fallback that
-// feeds chunk-sized record batches to pre-columnar batched models.
-type batchOnly struct{ m Model }
-
-func (b batchOnly) Name() string                                       { return b.m.Name() }
-func (b batchOnly) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return b.m.Step(rec) }
-func (b batchOnly) StepBatch(recs []trace.Record, acc *Counters) {
-	b.m.(BatchModel).StepBatch(recs, acc)
-}
-func (b batchOnly) Finalize(res *Result) {
-	if f, ok := b.m.(Finalizer); ok {
-		f.Finalize(res)
-	}
-}
-
 // TestColumnarPathMatchesBatched pins the tentpole determinism
 // contract: replaying the struct-of-arrays view through StepColumns —
-// and through both fallbacks for models that predate it — is
-// bit-identical to the batched AoS path for every Fig. 3 model.
+// and through the per-record Step fallback for models that predate it —
+// is bit-identical to the batched AoS path for every Fig. 3 model, and
+// for STBPU under each Fig. 4 direction predictor with thresholds low
+// enough that the columnar and per-record paths both re-randomize.
 func TestColumnarPathMatchesBatched(t *testing.T) {
 	tr, prof := genTrace(t, "mysql_128con_50s", 30_000)
 	cols := trace.FromTrace(tr)
+	type input struct {
+		name   string
+		opt    Options
+		kind   ModelKind
+		rerand bool // the run must re-randomize at least once
+	}
+	var inputs []input
 	for _, kind := range Fig3Kinds() {
-		opt := Options{SharedTokens: prof.SharedTokens, Seed: 11}
-		want, err := RunCtx(context.Background(), New(kind, opt), tr)
+		inputs = append(inputs, input{kind.String(), Options{SharedTokens: prof.SharedTokens, Seed: 11}, kind, false})
+	}
+	th := token.Thresholds{Mispredictions: 40, Evictions: 25, TageMispredictions: 30}
+	// The Fig. 4 predictors (experiments.Fig4Dirs, which this package
+	// cannot import).
+	for _, dir := range []core.DirKind{core.DirPerceptron, core.DirSKLCond, core.DirTAGE64, core.DirTAGE8} {
+		opt := Options{SharedTokens: prof.SharedTokens, Thresholds: &th, Dir: dir, Seed: 13}
+		inputs = append(inputs, input{"STBPU/" + dir.String(), opt, KindSTBPU, true})
+	}
+	for _, in := range inputs {
+		want, err := RunCtx(context.Background(), New(in.kind, in.opt), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := New(kind, opt).(ColumnModel); !ok {
-			t.Errorf("%v does not implement ColumnModel", kind)
+		if in.rerand && want.Rerandomizations == 0 {
+			t.Errorf("%s: no re-randomizations under low thresholds", in.name)
 		}
-		columnar, err := RunColumnsCtx(context.Background(), New(kind, opt), cols)
+		if _, ok := New(in.kind, in.opt).(ColumnModel); !ok {
+			t.Errorf("%s does not implement ColumnModel", in.name)
+		}
+		columnar, err := RunColumnsCtx(context.Background(), New(in.kind, in.opt), cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if columnar != want {
-			t.Errorf("%v: columnar %+v != batched %+v", kind, columnar, want)
+			t.Errorf("%s: columnar %+v != batched %+v", in.name, columnar, want)
 		}
-		viaBatch, err := RunColumnsCtx(context.Background(), batchOnly{New(kind, opt)}, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if viaBatch != want {
-			t.Errorf("%v: batch-fallback %+v != batched %+v", kind, viaBatch, want)
-		}
-		viaStep, err := RunColumnsCtx(context.Background(), stepOnly{New(kind, opt)}, cols)
+		viaStep, err := RunColumnsCtx(context.Background(), stepOnly{New(in.kind, in.opt)}, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if viaStep != want {
-			t.Errorf("%v: step-fallback %+v != batched %+v", kind, viaStep, want)
+			t.Errorf("%s: step-fallback %+v != batched %+v", in.name, viaStep, want)
 		}
 	}
 }
