@@ -101,7 +101,12 @@ func (k *keyState) BankIndexTag(pc uint64, fIdx, fTag uint64, bank int, indexBit
 }
 
 // TableIndex implements tage.Hasher via R3 with the fold mixed into the
-// address bits.
+// address bits. The width only masks R3's output, so a narrow index is
+// the low bits of a wide one, as tage.Hasher requires: the predictor
+// hashes each branch once for its bimodal, loop and unfolded SC tables.
+// Per conditional branch a keyed TAGE-SC-L then costs one R3 for those,
+// one R3 per SC table with a nonzero fold, and one Rt per tagged bank;
+// the Unit adds one R1 for the BTB in Predict and another in Update.
 func (k *keyState) TableIndex(pc uint64, fold uint64, bits uint) uint32 {
 	return k.funcs.R3(k.psi, pc^(fold<<3)) & (1<<bits - 1)
 }

@@ -148,6 +148,9 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 	addr := startRemote(t, b)
 	startInProcWorker(t, addr)
 	startInProcWorker(t, addr)
+	// The run is small enough for one worker to drain it before the
+	// other finishes its handshake; start only once both have joined.
+	waitJoins(t, b, 2)
 	pool := NewPool(2, 1234)
 	pool.SetBackend(b)
 	remote := runWire(t, pool)
@@ -209,14 +212,10 @@ func TestRemoteBackendLateJoin(t *testing.T) {
 		t.Fatal("run never completed after workers joined")
 	}
 	// The first worker joined a pending run; the second may only have
-	// finished its handshake after the (tiny) run drained — poll.
-	deadline := time.After(10 * time.Second)
-	for fleetStats(t, b).Joins != 2 {
-		select {
-		case <-deadline:
-			t.Fatalf("joins = %d, want 2", fleetStats(t, b).Joins)
-		case <-time.After(10 * time.Millisecond):
-		}
+	// finished its handshake after the (tiny) run drained.
+	waitJoins(t, b, 2)
+	if j := fleetStats(t, b).Joins; j != 2 {
+		t.Fatalf("joins = %d, want 2", j)
 	}
 }
 

@@ -21,10 +21,18 @@ import (
 // remapping.
 type Hasher interface {
 	// BankIndexTag maps (pc, folded histories, bank) to an index and tag
-	// of the requested widths.
+	// of the requested widths: idx < 1<<indexBits and tag < 1<<tagBits.
+	// The predictor packs the bank and index into one slot number and the
+	// tag under a valid bit, so a wider result would silently alias
+	// another bank's slot or the valid bit rather than fail.
 	BankIndexTag(pc uint64, fIdx, fTag uint64, bank int, indexBits, tagBits uint) (idx, tag uint32)
 	// TableIndex maps pc (optionally mixed with folded history) to an
 	// index for the untagged side structures (bimodal, SC, loop).
+	//
+	// A narrower index must be the low bits of a wider one:
+	// TableIndex(pc, f, b) == TableIndex(pc, f, w) & (1<<b - 1) for every
+	// b <= w. The predictor relies on this to serve the bimodal, loop and
+	// unfolded SC lookups of a branch from one hash at the widest width.
 	TableIndex(pc uint64, fold uint64, bits uint) uint32
 }
 
@@ -92,39 +100,57 @@ func Config64KB() Config {
 	}
 }
 
-// entry is one tagged-bank slot: a 3-bit signed counter, tag, and 2-bit
-// usefulness.
+// entry is one tagged-bank slot: the tag with the valid bit folded in
+// (validBit), a 3-bit signed counter, and 2-bit usefulness. At four
+// bytes, rather than twelve for a separate flag and a 32-bit tag, a
+// 64KB configuration's banks take 224 KiB, and the banks are most of
+// the predictor's cache footprint.
 type entry struct {
-	valid  bool
-	tag    uint32
-	ctr    int8 // -4..3, taken when >= 0
-	useful uint8
+	tag    uint16 // validBit | tag; an invalid slot never matches a lookup
+	ctr    int8   // -4..3, taken when >= 0
+	useful uint8  // 0..3
 }
 
-// folded maintains a history register folded to a fixed width, updated
-// incrementally as outcomes shift in and out (standard TAGE hardware).
-// outShift and mask are fixed per register, precomputed at construction so
-// the per-branch update is pure shift/xor work.
-type folded struct {
-	val      uint64
-	compLen  uint   // folded width
-	outShift uint   // origLen % compLen
-	mask     uint64 // 1<<compLen - 1
+// validBit marks an allocated entry inside entry.tag. Lookups compare
+// against tag|validBit, so the hit test is one compare; tags are
+// therefore limited to 15 bits (Table II's widest is 12).
+const validBit = 1 << 15
+
+func (e *entry) valid() bool { return e.tag&validBit != 0 }
+
+// foldIn is one step of a history register folded to compLen bits
+// (standard TAGE hardware): newBit shifts in, oldBit — the outcome that
+// just left the register's window of origLen outcomes — shifts out at
+// outShift = origLen % compLen, and mask is 1<<compLen - 1.
+func foldIn(val, newBit, oldBit uint64, outShift, compLen uint, mask uint64) uint64 {
+	val = val<<1 | newBit
+	val ^= oldBit << outShift
+	val ^= val >> compLen
+	return val & mask
 }
 
-func newFolded(origLen, compLen uint) folded {
-	return folded{compLen: compLen, outShift: origLen % compLen, mask: 1<<compLen - 1}
+// bankHist is one tagged bank's history state: its index, tag and
+// second-tag folded registers and the ring position of the outcome
+// leaving its window. The register widths and masks are the same for
+// every bank and live on the Predictor; only the out-shifts depend on
+// the bank's history length.
+type bankHist struct {
+	idx, tag, tag2 uint64
+	// pos is the ring index of the outcome HistLens[b] steps back,
+	// advanced in lockstep with histPos so pushHistory never normalizes
+	// a negative position.
+	pos                     int32
+	outIdx, outTag, outTag2 uint8 // HistLens[b] % register width
 }
 
-// update shifts newBit in and oldBit (the outcome origLen steps ago) out.
-func (f *folded) update(newBit, oldBit uint64) {
-	f.val = (f.val << 1) | newBit
-	f.val ^= oldBit << f.outShift
-	f.val ^= f.val >> f.compLen
-	f.val &= f.mask
+// scHist is one SC table's history register, folded to scTableBits,
+// and the ring position of the outcome leaving its window. A table
+// with history length 0 never updates its register.
+type scHist struct {
+	val uint64
+	pos int32
+	out uint8 // scLens[i] % scTableBits
 }
-
-func (f *folded) reset() { f.val = 0 }
 
 // maxHistoryBits bounds the outcome ring buffer.
 const maxHistoryBits = 1024
@@ -148,20 +174,23 @@ type Predictor struct {
 	hasher Hasher
 
 	bimodal []int8 // 2-bit counters as -2..1, taken when >= 0
-	banks   [][]entry
+	// banks holds every tagged bank back to back: bank b's slot i is
+	// banks[b<<IndexBits|i].
+	banks []entry
 
-	// Global outcome history ring plus folded registers per bank.
-	hist    [maxHistoryBits]uint8
-	histPos int
-	histLen int
-	fIdx    []folded
-	fTag    []folded
-	fTag2   []folded
-	// oldPos[i] is the ring index of the outcome HistLens[i] steps back,
-	// advanced in lockstep with histPos so pushHistory never normalizes a
-	// negative position. scOldPos is the same for the SC history lengths.
-	oldPos   []int32
-	scOldPos []int32
+	// Global outcome history ring plus the folded registers of every
+	// bank, updated in one pass per retired branch.
+	hist     [maxHistoryBits]uint8
+	histPos  int
+	histLen  int
+	bankHist []bankHist
+	// Folded-register widths and masks, shared by all banks.
+	idxBits, tagBits, tag2Bits uint
+	idxMask, tagMask, tag2Mask uint64
+
+	// wideBits is the widest untagged index (bimodal, SC, loop): Predict
+	// hashes the branch once at this width and masks the result down.
+	wideBits uint
 
 	useAltOnNA int8 // -8..7: prefer altpred for newly allocated entries
 
@@ -172,7 +201,7 @@ type Predictor struct {
 	// short folded histories.
 	scTables [][]int8
 	scLens   []int
-	scFolds  []folded
+	scHist   []scHist
 	scThresh int
 
 	// TageMispredicts counts wrong final predictions in which TAGE's
@@ -186,23 +215,26 @@ type Predictor struct {
 
 type lookup struct {
 	pc        uint64
-	provider  int // bank index, -1 = bimodal
-	altBank   int // -1 = bimodal
-	provIdx   uint32
+	provider  int    // bank index, -1 = bimodal
+	altBank   int    // -1 = bimodal
+	provIdx   uint32 // index into banks
 	altIdx    uint32
 	bimIdx    uint32
-	tags      []uint32
-	idxs      []uint32
+	tags      []uint16 // per bank: validBit | tag
+	idxs      []uint32 // per bank: index into banks
 	tagePred  bool
 	altPred   bool
 	finalPred bool
 	usedLoop  bool
 	loopPred  bool
-	loopIdx   int
+	loopIdx   uint32
 	scSum     int
 	scIdxs    []uint32
 	weakProv  bool
 }
+
+// loopBits sizes the 64-entry loop table.
+const loopBits = 6
 
 var _ bpu.DirectionPredictor = (*Predictor)(nil)
 
@@ -210,6 +242,9 @@ var _ bpu.DirectionPredictor = (*Predictor)(nil)
 func New(cfg Config) *Predictor {
 	if len(cfg.HistLens) == 0 {
 		panic("tage: config needs at least one tagged bank")
+	}
+	if cfg.TagBits > 15 {
+		panic(fmt.Sprintf("tage: %d tag bits exceed the 15 an entry holds", cfg.TagBits))
 	}
 	h := cfg.Hasher
 	if h == nil {
@@ -220,21 +255,23 @@ func New(cfg Config) *Predictor {
 	for i := range p.bimodal {
 		p.bimodal[i] = -1 // weakly not-taken
 	}
-	p.banks = make([][]entry, len(cfg.HistLens))
-	for i := range p.banks {
-		p.banks[i] = make([]entry, 1<<cfg.IndexBits)
-	}
-	for _, l := range cfg.HistLens {
+	p.banks = make([]entry, len(cfg.HistLens)<<cfg.IndexBits)
+	p.idxBits, p.tagBits, p.tag2Bits = cfg.IndexBits, cfg.TagBits, cfg.TagBits-1
+	p.idxMask, p.tagMask, p.tag2Mask = 1<<p.idxBits-1, 1<<p.tagBits-1, 1<<p.tag2Bits-1
+	p.bankHist = make([]bankHist, len(cfg.HistLens))
+	for i, l := range cfg.HistLens {
 		if l >= maxHistoryBits {
 			panic(fmt.Sprintf("tage: history length %d exceeds %d", l, maxHistoryBits))
 		}
-		p.fIdx = append(p.fIdx, newFolded(uint(l), cfg.IndexBits))
-		p.fTag = append(p.fTag, newFolded(uint(l), cfg.TagBits))
-		p.fTag2 = append(p.fTag2, newFolded(uint(l), cfg.TagBits-1))
+		bh := &p.bankHist[i]
+		bh.outIdx = uint8(uint(l) % p.idxBits)
+		bh.outTag = uint8(uint(l) % p.tagBits)
+		bh.outTag2 = uint8(uint(l) % p.tag2Bits)
 	}
-	p.oldPos = make([]int32, len(cfg.HistLens))
+	p.wideBits = cfg.BimodalBits
 	if cfg.UseLoop {
-		p.loops = make([]loopEntry, 64)
+		p.loops = make([]loopEntry, 1<<loopBits)
+		p.wideBits = max(p.wideBits, loopBits)
 	}
 	if cfg.UseSC {
 		p.scLens = []int{0, 5, 14, 32}
@@ -242,14 +279,15 @@ func New(cfg Config) *Predictor {
 		for i := range p.scTables {
 			p.scTables[i] = make([]int8, 1<<scTableBits)
 		}
-		for _, l := range p.scLens {
-			p.scFolds = append(p.scFolds, newFolded(uint(max(l, 1)), scTableBits))
+		p.scHist = make([]scHist, len(p.scLens))
+		for i, l := range p.scLens {
+			p.scHist[i].out = uint8(max(l, 1) % scTableBits)
 		}
 		p.scThresh = 6
+		p.wideBits = max(p.wideBits, scTableBits)
 	}
-	p.scOldPos = make([]int32, len(p.scLens))
 	p.resetOldPositions()
-	p.last.tags = make([]uint32, len(cfg.HistLens))
+	p.last.tags = make([]uint16, len(cfg.HistLens))
 	p.last.idxs = make([]uint32, len(cfg.HistLens))
 	p.last.scIdxs = make([]uint32, len(p.scTables))
 	return p
@@ -268,33 +306,40 @@ func (p *Predictor) Predict(pc uint64) bool {
 	l.provider, l.altBank = -1, -1
 	l.usedLoop = false
 
-	l.bimIdx = p.hasher.TableIndex(pc, 0, p.cfg.BimodalBits)
+	// One hash serves every unfolded untagged index (see Hasher).
+	wide := p.hasher.TableIndex(pc, 0, p.wideBits)
+	l.bimIdx = wide & (1<<p.cfg.BimodalBits - 1)
+	l.loopIdx = wide & (1<<loopBits - 1)
 	bimPred := p.bimodal[l.bimIdx] >= 0
 
 	// Tagged lookups, longest history wins. One pass computes every bank's
 	// index/tag (Update's allocation needs them all) and picks the provider
 	// and alternate as it goes.
-	for b := len(p.banks) - 1; b >= 0; b-- {
-		idx, tag := p.hasher.BankIndexTag(pc, p.fIdx[b].val, p.fTag[b].val^(p.fTag2[b].val<<1), b, p.cfg.IndexBits, p.cfg.TagBits)
-		l.idxs[b], l.tags[b] = idx, tag
-		if e := &p.banks[b][idx]; e.valid && e.tag == tag {
+	h, banks, idxBits, tagBits := p.hasher, p.banks, p.idxBits, p.tagBits
+	for b := len(p.bankHist) - 1; b >= 0; b-- {
+		bh := &p.bankHist[b]
+		idx, tag := h.BankIndexTag(pc, bh.idx, bh.tag^(bh.tag2<<1), b, idxBits, tagBits)
+		slot := uint32(b)<<idxBits | idx
+		stored := uint16(tag) | validBit
+		l.idxs[b], l.tags[b] = slot, stored
+		if banks[slot].tag == stored {
 			if l.provider < 0 {
 				l.provider = b
-				l.provIdx = idx
+				l.provIdx = slot
 			} else if l.altBank < 0 {
 				l.altBank = b
-				l.altIdx = idx
+				l.altIdx = slot
 			}
 		}
 	}
 
 	if l.altBank >= 0 {
-		l.altPred = p.banks[l.altBank][l.altIdx].ctr >= 0
+		l.altPred = p.banks[l.altIdx].ctr >= 0
 	} else {
 		l.altPred = bimPred
 	}
 	if l.provider >= 0 {
-		e := &p.banks[l.provider][l.provIdx]
+		e := &p.banks[l.provIdx]
 		l.tagePred = e.ctr >= 0
 		// Newly allocated (weak, not yet useful) entries may be worse
 		// than the alternate prediction.
@@ -313,7 +358,10 @@ func (p *Predictor) Predict(pc uint64) bool {
 	if p.cfg.UseSC {
 		sum := 0
 		for i := range p.scTables {
-			idx := p.hasher.TableIndex(pc, p.scFolds[i].val, scTableBits)
+			idx := wide & (1<<scTableBits - 1)
+			if f := p.scHist[i].val; f != 0 {
+				idx = p.hasher.TableIndex(pc, f, scTableBits)
+			}
 			l.scIdxs[i] = idx
 			sum += int(p.scTables[i][idx])
 		}
@@ -331,9 +379,8 @@ func (p *Predictor) Predict(pc uint64) bool {
 
 	// Loop predictor overrides with high confidence.
 	if p.cfg.UseLoop {
-		if idx, e := p.loopLookup(pc); e != nil && e.confidence >= 3 && e.tripCount > 0 {
+		if e := p.loopLookup(l.loopIdx, pc); e != nil && e.confidence >= 3 && e.tripCount > 0 {
 			l.usedLoop = true
-			l.loopIdx = idx
 			l.loopPred = e.currentIt+1 != e.tripCount
 			l.finalPred = l.loopPred
 		}
@@ -356,7 +403,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 	// Loop predictor training.
 	if p.cfg.UseLoop {
-		p.loopUpdate(pc, taken)
+		p.loopUpdate(l.loopIdx, pc, taken)
 	}
 
 	// Statistical corrector training: on mispredict or weak sum.
@@ -373,7 +420,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 	// useAltOnNA bookkeeping.
 	if l.provider >= 0 && l.weakProv {
-		e := &p.banks[l.provider][l.provIdx]
+		e := &p.banks[l.provIdx]
 		tageWasRight := (e.ctr >= 0) == taken
 		altWasRight := l.altPred == taken
 		if tageWasRight != altWasRight {
@@ -389,7 +436,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 	// Provider update.
 	if l.provider >= 0 {
-		e := &p.banks[l.provider][l.provIdx]
+		e := &p.banks[l.provIdx]
 		updateCtr(&e.ctr, taken)
 		// Usefulness trains only when provider and alternate disagreed:
 		// the provider is useful exactly when it beat the alternate.
@@ -412,20 +459,20 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 	// Allocation on TAGE mispredict: claim an entry in a longer bank.
 	tageWrong := l.tagePred != taken
-	if tageWrong && l.provider < len(p.banks)-1 {
+	if tageWrong && l.provider < len(l.idxs)-1 {
 		allocated := false
-		for b := l.provider + 1; b < len(p.banks); b++ {
-			e := &p.banks[b][l.idxs[b]]
-			if !e.valid || e.useful == 0 {
-				*e = entry{valid: true, tag: l.tags[b], ctr: ctrInit(taken)}
+		for b := l.provider + 1; b < len(l.idxs); b++ {
+			e := &p.banks[l.idxs[b]]
+			if !e.valid() || e.useful == 0 {
+				*e = entry{tag: l.tags[b], ctr: ctrInit(taken)}
 				allocated = true
 				break
 			}
 		}
 		if !allocated {
 			// Decay usefulness so future allocations succeed.
-			for b := l.provider + 1; b < len(p.banks); b++ {
-				e := &p.banks[b][l.idxs[b]]
+			for b := l.provider + 1; b < len(l.idxs); b++ {
+				e := &p.banks[l.idxs[b]]
 				if e.useful > 0 {
 					e.useful--
 				}
@@ -441,27 +488,18 @@ func (p *Predictor) Flush() {
 	for i := range p.bimodal {
 		p.bimodal[i] = -1
 	}
-	for b := range p.banks {
-		for i := range p.banks[b] {
-			p.banks[b][i] = entry{}
-		}
+	clear(p.banks)
+	for i := range p.bankHist {
+		bh := &p.bankHist[i]
+		bh.idx, bh.tag, bh.tag2 = 0, 0, 0
 	}
-	for i := range p.fIdx {
-		p.fIdx[i].reset()
-		p.fTag[i].reset()
-		p.fTag2[i].reset()
-	}
-	for i := range p.scFolds {
-		p.scFolds[i].reset()
+	for i := range p.scHist {
+		p.scHist[i].val = 0
 	}
 	for i := range p.scTables {
-		for j := range p.scTables[i] {
-			p.scTables[i][j] = 0
-		}
+		clear(p.scTables[i])
 	}
-	for i := range p.loops {
-		p.loops[i] = loopEntry{}
-	}
+	clear(p.loops)
 	p.hist = [maxHistoryBits]uint8{}
 	p.histPos, p.histLen = 0, 0
 	p.resetOldPositions()
@@ -477,38 +515,45 @@ func (p *Predictor) Flush() {
 // (construction and flush; steady state advances them incrementally).
 func (p *Predictor) resetOldPositions() {
 	for i, l := range p.cfg.HistLens {
-		p.oldPos[i] = int32((p.histPos - l + maxHistoryBits) % maxHistoryBits)
+		p.bankHist[i].pos = int32((p.histPos - l + maxHistoryBits) % maxHistoryBits)
 	}
 	for i, l := range p.scLens {
-		p.scOldPos[i] = int32((p.histPos - l + maxHistoryBits) % maxHistoryBits)
+		p.scHist[i].pos = int32((p.histPos - l + maxHistoryBits) % maxHistoryBits)
 	}
 }
 
-// pushHistory shifts an outcome into the ring and all folded registers.
-// The outgoing-outcome positions are maintained incrementally (one
-// compare-and-wrap per bank) instead of re-normalized with loops and
-// modulo arithmetic on every retired branch.
+// pushHistory shifts an outcome into the ring and all folded registers,
+// one pass over the banks. The outgoing-outcome positions are maintained
+// incrementally (one compare-and-wrap per bank) instead of re-normalized
+// with loops and modulo arithmetic on every retired branch.
 func (p *Predictor) pushHistory(taken bool) {
 	bit := uint64(0)
 	if taken {
 		bit = 1
 	}
 	p.hist[p.histPos] = uint8(bit)
-	for i := range p.fIdx {
-		ob := uint64(p.hist[p.oldPos[i]])
-		p.fIdx[i].update(bit, ob)
-		p.fTag[i].update(bit, ob)
-		p.fTag2[i].update(bit, ob)
-		if p.oldPos[i]++; p.oldPos[i] == maxHistoryBits {
-			p.oldPos[i] = 0
+	iw, tw, t2w := p.idxBits, p.tagBits, p.tag2Bits
+	im, tm, t2m := p.idxMask, p.tagMask, p.tag2Mask
+	for i := range p.bankHist {
+		bh := &p.bankHist[i]
+		// Positions are always in range (construction, flush and decode
+		// keep them so); the mask only drops the bounds check.
+		ob := uint64(p.hist[bh.pos&(maxHistoryBits-1)])
+		bh.idx = foldIn(bh.idx, bit, ob, uint(bh.outIdx), iw, im)
+		bh.tag = foldIn(bh.tag, bit, ob, uint(bh.outTag), tw, tm)
+		bh.tag2 = foldIn(bh.tag2, bit, ob, uint(bh.outTag2), t2w, t2m)
+		if bh.pos++; bh.pos == maxHistoryBits {
+			bh.pos = 0
 		}
 	}
 	for i, l := range p.scLens {
+		sh := &p.scHist[i]
 		if l > 0 {
-			p.scFolds[i].update(bit, uint64(p.hist[p.scOldPos[i]]))
+			ob := uint64(p.hist[sh.pos&(maxHistoryBits-1)])
+			sh.val = foldIn(sh.val, bit, ob, uint(sh.out), scTableBits, 1<<scTableBits-1)
 		}
-		if p.scOldPos[i]++; p.scOldPos[i] == maxHistoryBits {
-			p.scOldPos[i] = 0
+		if sh.pos++; sh.pos == maxHistoryBits {
+			sh.pos = 0
 		}
 	}
 	p.histPos++
@@ -520,18 +565,19 @@ func (p *Predictor) pushHistory(taken bool) {
 	}
 }
 
-func (p *Predictor) loopLookup(pc uint64) (int, *loopEntry) {
-	idx := int(p.hasher.TableIndex(pc, 0, 6))
+// loopLookup returns the loop entry at idx (the branch's hashed loop
+// index) when it belongs to pc.
+func (p *Predictor) loopLookup(idx uint32, pc uint64) *loopEntry {
 	tag := uint32(pc>>8) & 0x3fff
 	e := &p.loops[idx]
 	if e.age > 0 && e.tag == tag {
-		return idx, e
+		return e
 	}
-	return idx, nil
+	return nil
 }
 
-func (p *Predictor) loopUpdate(pc uint64, taken bool) {
-	idx := int(p.hasher.TableIndex(pc, 0, 6))
+// loopUpdate trains the loop entry at idx, the index Predict stashed.
+func (p *Predictor) loopUpdate(idx uint32, pc uint64, taken bool) {
 	tag := uint32(pc>>8) & 0x3fff
 	e := &p.loops[idx]
 	if e.age == 0 || e.tag != tag {
