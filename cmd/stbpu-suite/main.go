@@ -18,7 +18,6 @@
 //	stbpu-suite -backend remote -listen :7701  # coordinate a TCP worker fleet
 //	stbpu-suite -worker -connect host:7701  # join a fleet as a network worker
 //	stbpu-suite -affinity=false             # plain work sharing (no locality routing)
-//	stbpu-suite -wire json                  # pin JSON wire frames (debug/old fleets)
 //	stbpu-suite -pprof localhost:6060       # serve live profiling endpoints
 //	stbpu-suite -journal run.jsonl          # stream completed cells to a journal
 //	stbpu-suite -journal run.jsonl -resume  # skip cells the journal already holds
@@ -28,15 +27,16 @@
 //	stbpu-suite -snapshots=false            # force full warmup replay (no checkpoints)
 //	stbpu-suite -snap-dir ~/.cache/stbpu-snaps  # persist predictor checkpoints across runs
 //
-// With -backend exec the suite spawns `stbpu-suite -worker` subprocesses
-// that execute cell batches received as length-prefixed JSON frames on
-// stdin and answer results on stdout; -backend mixed splits cells
-// between the in-process pool and the subprocess fleet. With -backend
-// remote the suite listens on -listen and schedules the same frames over
-// TCP across whatever workers have dialed in with -worker -connect —
-// workers may join late, die mid-chunk, or straggle (their cells are
-// speculatively re-executed elsewhere). Results are bit-identical across
-// backends and fleet shapes (see docs/ARCHITECTURE.md).
+// Every backend but local is one worker fleet with one protocol. With
+// -backend exec the suite spawns `stbpu-suite -worker` subprocesses
+// that serve it on stdin/stdout; -backend mixed adds an in-process
+// member beside them. With -backend remote the suite listens on -listen
+// and schedules the same frames over TCP across whatever workers have
+// dialed in with -worker -connect. Workers may join late, die mid-chunk,
+// or straggle (their cells are speculatively re-executed elsewhere);
+// a member silent past the heartbeat timeout is declared dead.
+// Results are bit-identical across backends and fleet shapes (see
+// docs/ARCHITECTURE.md).
 //
 // With -journal every completed cell is appended to a JSONL run journal
 // as it finishes; if the run dies, rerunning with -resume skips the
@@ -56,7 +56,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"stbpu/internal/experiments"
 	"stbpu/internal/harness"
@@ -77,15 +76,14 @@ type suiteDoc struct {
 	// wall time; wall time is 0 when -timing=false).
 	Backends []harness.BackendStats `json:"backends"`
 	// TraceStore reports the shared cross-run trace cache's hit/miss/
-	// generation/eviction counters for the whole run. With -backend exec
-	// the coordinator's store sits idle: workers generate traces into
-	// their own process-local stores.
+	// generation/eviction counters for the whole run. On a fleet
+	// (exec, mixed, remote) the coordinator's store sits idle: workers
+	// generate traces into their own stores.
 	TraceStore tracestore.Stats `json:"trace_store"`
 	// SnapStore reports the warm-state checkpoint store's counters for
-	// the whole run (docs/SUITE_JSON.md). Like TraceStore, with -backend
-	// exec/remote the coordinator's store sits mostly idle: workers
-	// checkpoint into their own process-local stores (shared only
-	// through -snap-dir's disk tier).
+	// the whole run (docs/SUITE_JSON.md). Like TraceStore, on a fleet
+	// the coordinator's store sits idle: workers checkpoint into their
+	// own stores (shared only through -snap-dir's disk tier).
 	SnapStore snapstore.Stats `json:"snap_store"`
 }
 
@@ -97,7 +95,7 @@ type config struct {
 	workers    int
 	cacheBytes int64
 	// traceDir enables the persistent trace tier: generated traces spill
-	// as STBT files and later runs (and exec workers) decode instead of
+	// as STBT files and later runs (and fleet workers) decode instead of
 	// regenerating.
 	traceDir string
 	// modelMajor disables trace-major grouped scheduling. Stored inverted
@@ -118,14 +116,8 @@ type config struct {
 	snapDir     string
 	backend     string // "local" (default), "exec", "mixed", or "remote"
 	execWorkers int
-	// execTimeout bounds one exec-worker batch; a worker that exceeds it
-	// is killed and its chunk requeued (0 = no deadline).
-	execTimeout time.Duration
 	// listen is the -backend remote coordinator's TCP address.
 	listen string
-	// wire pins the frame codec on both wire backends: "" negotiates
-	// the compact binary codec, "json" forces JSON frames.
-	wire string
 	// affinityOff disables locality-aware fleet dispatch. Stored
 	// inverted (like modelMajor) so a zero-value config keeps the
 	// default: affinity on.
@@ -136,11 +128,10 @@ type config struct {
 	listenReady func(addr string)
 	// workloadSpec is a JSON workload-spec file (docs/WORKLOADS.md):
 	// runSuite registers it, points the workloads scenario at it, and
-	// forwards it to exec workers (by path) and remote fleets (by
-	// document, in the welcome frame).
+	// forwards its document to every fleet worker in the welcome frame.
 	workloadSpec string
 	// workloadSpecDoc is the loaded spec's canonical JSON (set by
-	// runSuite for buildBackend's remote welcome frame).
+	// runSuite for buildBackend's welcome frame).
 	workloadSpecDoc string
 	// journal streams completed cells to this JSONL file; with resume
 	// set, cells the file already holds are not re-executed.
@@ -157,68 +148,29 @@ type config struct {
 }
 
 // buildBackend constructs the backend the -backend flag selects; nil
-// means the pool's default in-process LocalBackend.
+// means the pool's default in-process LocalBackend. Every other backend
+// is one worker fleet: the welcome frame carries the tier, scheduling
+// and workload-spec settings to every member, so spawned workers need
+// only the per-machine resource bounds on their command line.
 func buildBackend(cfg config) (harness.Backend, error) {
-	execWorkers := cfg.execWorkers
-	if execWorkers <= 0 {
-		execWorkers = 2
+	if cfg.backend == "" || cfg.backend == "local" {
+		return nil, nil
 	}
-	newExec := func() (*harness.ExecBackend, error) {
-		cmd := cfg.workerCmd
-		if cmd == nil {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, fmt.Errorf("resolve worker executable: %w", err)
-			}
-			// Forward the resource knobs so workers honor the same bounds
-			// as the coordinator (each worker applies them per process) and
-			// share the persistent trace tier when one is configured.
-			cmd = []string{exe, "-worker",
-				fmt.Sprintf("-workers=%d", cfg.workers),
-				fmt.Sprintf("-cache-bytes=%d", cfg.cacheBytes)}
-			if cfg.traceDir != "" {
-				cmd = append(cmd, fmt.Sprintf("-trace-dir=%s", cfg.traceDir))
-				if cfg.traceMmap {
-					cmd = append(cmd, "-trace-mmap")
-				}
-			}
-			if cfg.workloadSpec != "" {
-				// Exec workers share the coordinator's filesystem, so the
-				// spec travels by path; the worker parses and registers it
-				// before serving cells.
-				cmd = append(cmd, fmt.Sprintf("-workload-spec=%s", cfg.workloadSpec))
-			}
-			cmd = append(cmd, fmt.Sprintf("-trace-major=%t", !cfg.modelMajor))
-			cmd = append(cmd, fmt.Sprintf("-snapshots=%t", !cfg.snapshotsOff))
-			cmd = append(cmd, fmt.Sprintf("-snap-bytes=%d", cfg.snapBytes))
-			if cfg.snapDir != "" {
-				cmd = append(cmd, fmt.Sprintf("-snap-dir=%s", cfg.snapDir))
-			}
-		}
-		return &harness.ExecBackend{Command: cmd, Env: cfg.workerEnv, Workers: execWorkers, BatchTimeout: cfg.execTimeout, Wire: cfg.wire}, nil
+	traceMajor := !cfg.modelMajor
+	snapshots := !cfg.snapshotsOff
+	affinity := !cfg.affinityOff
+	fleet := &harness.RemoteBackend{TraceDir: cfg.traceDir,
+		TraceMajor: &traceMajor, TraceMmap: &cfg.traceMmap,
+		Snapshots: &snapshots, SnapDir: cfg.snapDir, Affinity: &affinity}
+	if cfg.workloadSpecDoc != "" {
+		fleet.WorkloadSpecs = []string{cfg.workloadSpecDoc}
 	}
 	switch cfg.backend {
-	case "", "local":
-		return nil, nil
 	case "remote":
-		// The welcome frame carries the scheduling and mmap modes so a
-		// fleet joined with bare `-worker -connect` matches the
-		// coordinator's configuration without per-worker flags.
-		traceMajor := !cfg.modelMajor
-		snapshots := !cfg.snapshotsOff
-		affinity := !cfg.affinityOff
-		rb := &harness.RemoteBackend{Addr: cfg.listen, TraceDir: cfg.traceDir,
-			TraceMajor: &traceMajor, TraceMmap: &cfg.traceMmap,
-			Snapshots: &snapshots, SnapDir: cfg.snapDir,
-			Affinity: &affinity, Wire: cfg.wire}
-		if cfg.workloadSpecDoc != "" {
-			// Remote workers may sit on other machines, so the spec
-			// travels by value in the welcome frame.
-			rb.WorkloadSpecs = []string{cfg.workloadSpecDoc}
-		}
+		fleet.Addr = cfg.listen
 		// Bind eagerly so the operator (and tests, via listenReady) learn
 		// where to point workers before the first batch needs them.
-		addr, err := rb.Start()
+		addr, err := fleet.Start()
 		if err != nil {
 			return nil, err
 		}
@@ -226,23 +178,29 @@ func buildBackend(cfg config) (harness.Backend, error) {
 		if cfg.listenReady != nil {
 			cfg.listenReady(addr.String())
 		}
-		return rb, nil
-	case "exec":
-		return newExec()
-	case "mixed":
-		eb, err := newExec()
-		if err != nil {
-			return nil, err
+	case "exec", "mixed":
+		fleet.Spawn = cfg.execWorkers
+		if fleet.Spawn <= 0 {
+			fleet.Spawn = 2
 		}
-		// Weight the subprocess fleet by its size so it takes a share of
-		// chunks proportional to its workers.
-		return harness.NewMultiBackend(
-			harness.WeightedBackend{Backend: harness.NewLocalBackend(cfg.workers), Weight: 1},
-			harness.WeightedBackend{Backend: eb, Weight: execWorkers},
-		), nil
+		fleet.SpawnCommand, fleet.SpawnEnv = cfg.workerCmd, cfg.workerEnv
+		if fleet.SpawnCommand == nil {
+			exe, err := os.Executable()
+			if err != nil {
+				return nil, fmt.Errorf("resolve worker executable: %w", err)
+			}
+			fleet.SpawnCommand = []string{exe, "-worker",
+				fmt.Sprintf("-workers=%d", cfg.workers),
+				fmt.Sprintf("-cache-bytes=%d", cfg.cacheBytes),
+				fmt.Sprintf("-snap-bytes=%d", cfg.snapBytes)}
+		}
+		if cfg.backend == "mixed" {
+			fleet.JoinInProcess(harness.WorkerOptions{Workers: cfg.workers, CacheBytes: cfg.cacheBytes, SnapBytes: cfg.snapBytes})
+		}
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want local, exec, mixed, or remote)", cfg.backend)
 	}
+	return fleet, nil
 }
 
 // runSuite executes the selected scenarios and assembles the document.
@@ -412,22 +370,20 @@ func run() error {
 		rF        = flag.Float64("r", 0, "attack-difficulty factor (0 = scenario default)")
 		quick     = flag.Bool("quick", false, "use the QuickScale test/benchmark sizing")
 		cacheB    = flag.Int64("cache-bytes", tracestore.DefaultMaxBytes, "byte budget for the shared cross-run trace store (<=0 = default budget)")
-		traceDir  = flag.String("trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with exec workers)")
+		traceDir  = flag.String("trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
 		traceMaj  = flag.Bool("trace-major", true, "group cells that share a trace and replay all their models in one pass over the resident columns (=false for model-major scheduling)")
 		traceMmap = flag.Bool("trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
 		snapsF    = flag.Bool("snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
 		snapB     = flag.Int64("snap-bytes", snapstore.DefaultMaxBytes, "byte budget for the in-memory checkpoint store (<=0 = default budget)")
 		snapDir   = flag.String("snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
-		backend   = flag.String("backend", "local", "cell execution backend: local, exec (subprocess workers), mixed, or remote (TCP worker fleet)")
+		backend   = flag.String("backend", "local", "cell execution backend: local, exec (subprocess worker fleet), mixed (subprocess fleet plus an in-process member), or remote (TCP worker fleet)")
 		execW     = flag.Int("exec-workers", 2, "subprocess worker count for -backend exec/mixed")
-		execTO    = flag.Duration("exec-timeout", 10*time.Minute, "kill an exec worker whose batch exceeds this and requeue the chunk (0 = no deadline)")
 		listen    = flag.String("listen", "", "-backend remote: TCP address to coordinate workers on (empty = 127.0.0.1:0)")
-		wireF     = flag.String("wire", "binary", "frame codec policy for exec/remote wires: binary (negotiated; old workers fall back to JSON) or json (pin JSON frames)")
-		affinity  = flag.Bool("affinity", true, "-backend remote: prefer dispatching each chunk to the worker whose caches are warm for its workload (=false for plain work sharing; results are bit-identical)")
+		affinity  = flag.Bool("affinity", true, "fleet backends: prefer dispatching each chunk to the worker whose caches are warm for its workload (=false for plain work sharing; results are bit-identical)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof profiling handlers on this address (works in coordinator and -worker modes), e.g. localhost:6060")
 		connect   = flag.String("connect", "", "with -worker: dial this coordinator address instead of serving stdin/stdout")
 		worker    = flag.Bool("worker", false, "run as a worker: execute cell batches from stdin, or from the -connect coordinator")
-		specF     = flag.String("workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to exec and remote workers")
+		specF     = flag.String("workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to fleet workers")
 		journalF  = flag.String("journal", "", "stream completed cells to this JSONL run journal (schema: docs/SUITE_JSON.md)")
 		resume    = flag.Bool("resume", false, "load the -journal file first and skip cells it already holds")
 		timing    = flag.Bool("timing", true, "record wall-clock timing (disable for byte-stable output)")
@@ -436,15 +392,6 @@ func run() error {
 	)
 	flag.Parse()
 
-	var wire string
-	switch *wireF {
-	case "", "binary":
-		wire = "" // negotiate
-	case "json":
-		wire = "json"
-	default:
-		return fmt.Errorf("unknown -wire %q (want binary or json)", *wireF)
-	}
 	if *pprofAddr != "" {
 		// DefaultServeMux carries the pprof handlers via the blank import.
 		go func() {
@@ -464,7 +411,6 @@ func run() error {
 			TraceMmap:  *traceMmap,
 			SnapBytes:  *snapB,
 			SnapDir:    *snapDir,
-			Wire:       wire,
 		}
 		if *specF != "" {
 			s, err := spec.LoadFile(*specF)
@@ -474,8 +420,8 @@ func run() error {
 			opts.WorkloadSpecs = append(opts.WorkloadSpecs, string(s.Canonical()))
 		}
 		// Only an explicit -trace-major/-snapshots pins the worker's
-		// mode; left unset, a remote worker adopts the coordinator's
-		// welcome value.
+		// mode; left unset, the worker adopts the coordinator's welcome
+		// value.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "trace-major":
@@ -526,9 +472,7 @@ func run() error {
 		snapDir:      *snapDir,
 		backend:      *backend,
 		execWorkers:  *execW,
-		execTimeout:  *execTO,
 		listen:       *listen,
-		wire:         wire,
 		affinityOff:  !*affinity,
 		workloadSpec: *specF,
 		journal:      *journalF,

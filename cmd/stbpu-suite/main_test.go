@@ -16,7 +16,6 @@ import (
 
 	"stbpu/internal/harness"
 	"stbpu/internal/snapstore"
-	"stbpu/internal/trace/spec"
 	"stbpu/internal/tracestore"
 )
 
@@ -24,26 +23,14 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 const workerEnvVar = "STBPU_SUITE_TEST_WORKER"
 
-// workerSpecEnvVar points the test worker at a workload-spec file, the
-// test-binary analogue of `stbpu-suite -worker -workload-spec FILE`.
-const workerSpecEnvVar = "STBPU_SUITE_TEST_WORKLOAD_SPEC"
-
 // TestMain lets this test binary double as the subprocess worker for the
-// exec-backend tests: with the env var set it serves the frame protocol
+// exec-backend tests: with the env var set it serves the fleet protocol
 // on stdio — the same harness.ServeWorker loop `stbpu-suite -worker`
-// runs — instead of running tests.
+// runs — instead of running tests. Like a bare `stbpu-suite -worker`,
+// it learns tier settings and workload specs from the welcome frame.
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnvVar) == "1" {
-		opts := harness.WorkerOptions{Workers: 1}
-		if path := os.Getenv(workerSpecEnvVar); path != "" {
-			s, err := spec.LoadFile(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "worker:", err)
-				os.Exit(1)
-			}
-			opts.WorkloadSpecs = []string{string(s.Canonical())}
-		}
-		if err := harness.ServeWorker(context.Background(), os.Stdin, os.Stdout, opts); err != nil {
+		if err := harness.ServeWorker(context.Background(), os.Stdin, os.Stdout, harness.WorkerOptions{Workers: 1}); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

@@ -96,8 +96,8 @@ func TestWorkloadSpecCrossBackendDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exec workers: the spec crosses by path (workerSpecEnvVar is this
-	// test binary's stand-in for the forwarded -workload-spec argv).
+	// Exec workers: spawned bare, they must learn the spec from the
+	// coordinator's welcome frame like any fleet member.
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestWorkloadSpecCrossBackendDeterminism(t *testing.T) {
 	ex.backend = "exec"
 	ex.execWorkers = 2
 	ex.workerCmd = []string{exe}
-	ex.workerEnv = []string{workerEnvVar + "=1", workerSpecEnvVar + "=" + specPath}
+	ex.workerEnv = []string{workerEnvVar + "=1"}
 	if docs["exec"], err = runSuite(context.Background(), ex); err != nil {
 		t.Fatal(err)
 	}

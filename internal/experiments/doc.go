@@ -21,6 +21,6 @@
 //   - every stochastic input derives from the cell seed, never from
 //     time or a shared RNG, and aggregation walks shard order;
 //   - intermediate per-cell structs (fig6Cell, covertCell, ittageCell)
-//     keep exported fields so a cell's value survives the JSON framing
-//     of harness.ExecBackend byte-exactly.
+//     keep exported fields so a cell's value survives the JSON result
+//     encoding a harness worker fleet ships byte-exactly.
 package experiments

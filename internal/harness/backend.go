@@ -3,12 +3,12 @@ package harness
 // Backend abstraction: Map no longer owns a goroutine pool directly —
 // it describes each cell as a CellSpec and hands batches to a Backend.
 // LocalBackend is the original in-process pool behind the interface;
-// ExecBackend (exec.go) ships specs to subprocess workers over a
-// length-prefixed JSON protocol; MultiBackend routes across several
-// backends with retry/requeue. Because a cell is a pure function of
-// (scenario, params, scope, shard, root seed), results are bit-identical
-// regardless of which backend ran which cell — Map merges everything
-// back into shard order. See docs/ARCHITECTURE.md "Distributed cells".
+// RemoteBackend (remote.go) schedules specs across a worker fleet —
+// TCP workers, spawned subprocesses, an in-process member — over one
+// protocol. Because a cell is a pure function of (scenario, params,
+// scope, shard, root seed), results are bit-identical regardless of
+// which backend ran which cell — Map merges everything back into shard
+// order. See docs/ARCHITECTURE.md "Distributed cells".
 
 import (
 	"context"
@@ -56,10 +56,9 @@ type CellSpec struct {
 	fn cellFunc
 }
 
-// CellResult is the outcome of one cell. In-process backends carry the
-// value as a live Go value; wire backends carry it as JSON (the encoding
-// round-trips float64/uint64 exactly, so both transports yield identical
-// results).
+// CellResult is the outcome of one cell. The local backend carries the
+// value as a live Go value; a fleet carries it as JSON (the encoding
+// round-trips float64/uint64 exactly, so both yield identical results).
 type CellResult struct {
 	Shard int `json:"shard"`
 	// Value is the wire encoding of the cell's result.
@@ -141,12 +140,12 @@ func decodeInto[T any](r *CellResult, dst *T) error {
 // ErrPermanent marks batch-level errors that are deterministic
 // properties of the cells themselves — a scenario whose decomposition
 // disagrees with the coordinator's, unencodable params — rather than of
-// the transport or the worker that ran them. Routers must not requeue a
-// batch that failed permanently: every backend would fail it the same
+// the transport or the worker that ran them. The fleet must not requeue
+// a chunk that failed permanently: every worker would fail it the same
 // way, so retrying only multiplies the failure across the fleet.
-// Capability mismatches (a wire backend refusing anonymous cells, a
-// worker missing a scenario registration) are NOT permanent — a
-// differently-capable backend may still execute the batch.
+// Capability mismatches (a worker missing a scenario registration) are
+// NOT permanent — a differently built worker may still execute the
+// chunk.
 var ErrPermanent = errors.New("harness: permanent batch failure")
 
 // Permanent wraps err so errors.Is(err, ErrPermanent) reports true while
@@ -170,10 +169,9 @@ func (e *permanentError) Is(target error) bool { return target == ErrPermanent }
 // Backend executes batches of cells. Run returns one CellResult per spec
 // (any order; Map merges by shard). Per-cell failures are reported inside
 // the results; a non-nil error means the batch as a whole could not be
-// executed (transport failure, dead worker) and is what MultiBackend
-// retries on another backend — unless it is marked Permanent, in which
-// case retrying is pointless and routers fail fast. If any cell fails,
-// Run may stop early and return results only for the cells it attempted.
+// executed (a fleet with no worker left, a Permanent chunk failure). If
+// any cell fails, Run may stop early and return results only for the
+// cells it attempted.
 type Backend interface {
 	// Name labels the backend in stats and observer cells.
 	Name() string
@@ -189,25 +187,23 @@ type BackendStats struct {
 	Backend string `json:"backend"`
 	// Cells is how many cells the backend completed (including failed).
 	Cells uint64 `json:"cells"`
-	// Retries is how many cells were requeued after a failure: onto
-	// another backend when this backend failed a batch (MultiBackend), or
-	// onto another worker of the same fleet (RemoteBackend).
+	// Retries is how many cells a fleet requeued after the worker
+	// holding them died, went silent past the heartbeat timeout, or
+	// answered a transient batch error.
 	Retries uint64 `json:"retries"`
 	// WallMS is the cumulative wall-clock time spent inside Run.
 	WallMS int64 `json:"wall_ms"`
 	// Joins/Leaves count fleet membership changes over the run; only a
-	// RemoteBackend, whose workers come and go, reports them.
+	// fleet, whose workers come and go, reports them.
 	Joins  uint64 `json:"joins,omitempty"`
 	Leaves uint64 `json:"leaves,omitempty"`
-	// WireJSONBytes/WireBinaryBytes count frame payload bytes moved over
-	// the backend's wire (both directions, handshakes included) per
-	// codec; only wire backends (exec, remote) report them. A mixed
-	// fleet — some workers negotiated the binary codec, some fell back
-	// to JSON — reports both.
+	// WireJSONBytes counts the JSON hello/welcome handshake payload
+	// bytes and WireBinaryBytes every later frame's (work, results,
+	// heartbeats), both directions; only fleets report them.
 	WireJSONBytes   uint64 `json:"wire_json_bytes,omitempty"`
 	WireBinaryBytes uint64 `json:"wire_binary_bytes,omitempty"`
-	// Workers itemizes a RemoteBackend's fleet, one entry per worker that
-	// ever joined (in join order, departed workers included).
+	// Workers itemizes a fleet, one entry per worker that ever joined
+	// (in join order, departed workers included).
 	Workers []WorkerStats `json:"workers,omitempty"`
 }
 
@@ -233,8 +229,7 @@ type WorkerStats struct {
 	AffinityMisses uint64 `json:"affinity_misses,omitempty"`
 }
 
-// StatsReporter is implemented by backends that track BackendStats;
-// MultiBackend flattens its children's reports.
+// StatsReporter is implemented by backends that track BackendStats.
 type StatsReporter interface {
 	BackendStats() []BackendStats
 }
@@ -245,20 +240,30 @@ type StatsReporter interface {
 type cellNotify func(c Cell, spec CellSpec, res CellResult)
 
 // cellSink is implemented by backends that can stream completed cells to
-// the pool's observer and sink; Pool.SetBackend wires it. A backend must
-// not report cells from a batch whose Run returns an error — a router
-// will requeue that batch elsewhere, and early reports would
-// double-count the cells in Pool.Cells().
+// the pool's observer and sink; Pool.SetBackend wires it. A fleet
+// reports a batch's cells only once the batch succeeded, so a cell that
+// was requeued or re-executed is never double-counted in Pool.Cells().
 type cellSink interface {
 	setSink(cellNotify)
+}
+
+// sinkSlot implements cellSink for a backend that embeds it.
+type sinkSlot struct{ fn atomic.Pointer[cellNotify] }
+
+func (s *sinkSlot) setSink(fn cellNotify) { s.fn.Store(&fn) }
+
+func (s *sinkSlot) notify(c Cell, spec CellSpec, res CellResult) {
+	if fn := s.fn.Load(); fn != nil && *fn != nil {
+		(*fn)(c, spec, res)
+	}
 }
 
 // LocalBackend is the in-process goroutine pool — the execution engine
 // Map used directly before backends existed, now behind the interface.
 // It requires in-process specs (fn set); it never looks at the registry.
 type LocalBackend struct {
+	sinkSlot
 	workers int
-	sink    atomic.Pointer[cellNotify]
 	cells   atomic.Uint64
 	wallNS  atomic.Int64
 }
@@ -277,14 +282,6 @@ func (b *LocalBackend) Name() string { return "local" }
 
 // Close implements Backend; a LocalBackend holds no resources.
 func (b *LocalBackend) Close() error { return nil }
-
-func (b *LocalBackend) setSink(fn cellNotify) { b.sink.Store(&fn) }
-
-func (b *LocalBackend) notify(c Cell, spec CellSpec, res CellResult) {
-	if fn := b.sink.Load(); fn != nil && *fn != nil {
-		(*fn)(c, spec, res)
-	}
-}
 
 // BackendStats implements StatsReporter.
 func (b *LocalBackend) BackendStats() []BackendStats {
@@ -347,10 +344,17 @@ func (b *LocalBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// The feeder checks ctx before each send, and a worker runs every
+	// cell it receives: a cell handed out before a later cell's failure
+	// canceled the batch is still attempted, so the lowest failing shard
+	// is always among the results.
 	jobs := make(chan int)
 	go func() {
 		defer close(jobs)
 		for i := range specs {
+			if ctx.Err() != nil {
+				return
+			}
 			select {
 			case jobs <- i:
 			case <-ctx.Done():
@@ -365,9 +369,6 @@ func (b *LocalBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
 				if runCell(ctx, i) != nil {
 					cancel() // stop handing out further cells
 				}
@@ -389,198 +390,8 @@ func compact(results []CellResult, attempted []bool) []CellResult {
 	return out
 }
 
-// WeightedBackend pairs a backend with its share of the work.
-type WeightedBackend struct {
-	Backend Backend
-	// Weight is the backend's relative share of batch chunks (<= 0 is
-	// treated as 1).
-	Weight int
-}
-
-// MultiBackend fans batches out across several backends by weighted
-// round-robin, requeueing a chunk onto the next backend when one fails
-// it at the transport level (Permanent failures propagate immediately
-// instead — see ErrPermanent). Results merge back into shard order, so
-// output is bit-identical regardless of which backend ran which cell.
-type MultiBackend struct {
-	entries []WeightedBackend
-	ring    []int // entry indices expanded by weight
-	next    atomic.Uint64
-	retries []atomic.Uint64 // per entry: cells requeued after it failed
-	// busy serializes Backend.Run per entry, so a permanent failure
-	// cancels the batch before any other chunk reaches that backend.
-	busy []sync.Mutex
-}
-
-// NewMultiBackend builds the router; it panics on an empty entry list so
-// misconfiguration surfaces at construction.
-func NewMultiBackend(entries ...WeightedBackend) *MultiBackend {
-	if len(entries) == 0 {
-		panic("harness: NewMultiBackend with no backends")
-	}
-	m := &MultiBackend{entries: entries, retries: make([]atomic.Uint64, len(entries)), busy: make([]sync.Mutex, len(entries))}
-	for i, e := range entries {
-		w := e.Weight
-		if w <= 0 {
-			w = 1
-		}
-		for j := 0; j < w; j++ {
-			m.ring = append(m.ring, i)
-		}
-	}
-	return m
-}
-
-// Name implements Backend.
-func (m *MultiBackend) Name() string { return "multi" }
-
-// Close closes every child backend, returning the first error.
-func (m *MultiBackend) Close() error {
-	var first error
-	for _, e := range m.entries {
-		if err := e.Backend.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// setSink forwards the pool's observer sink to every child that streams.
-func (m *MultiBackend) setSink(fn cellNotify) {
-	for _, e := range m.entries {
-		if s, ok := e.Backend.(cellSink); ok {
-			s.setSink(fn)
-		}
-	}
-}
-
-// BackendStats flattens the children's reports, attributing each child's
-// requeue count to the backend that failed.
-func (m *MultiBackend) BackendStats() []BackendStats {
-	var out []BackendStats
-	for i, e := range m.entries {
-		var stats []BackendStats
-		if sr, ok := e.Backend.(StatsReporter); ok {
-			stats = sr.BackendStats()
-		} else {
-			stats = []BackendStats{{Backend: e.Backend.Name()}}
-		}
-		if len(stats) > 0 {
-			stats[0].Retries += m.retries[i].Load()
-		}
-		out = append(out, stats...)
-	}
-	return out
-}
-
-// multiChunkCells bounds chunk size so every backend in the ring sees
-// work even on small batches.
-const multiChunkTarget = 4
-
-// Run implements Backend: the batch splits into chunks assigned to
-// backends by weighted round-robin; a chunk whose backend fails is
-// requeued onto the next backend in the ring until one succeeds or all
-// have failed it.
-func (m *MultiBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-
-	chunkSize := (len(specs) + len(m.ring)*multiChunkTarget - 1) / (len(m.ring) * multiChunkTarget)
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-	type chunk struct {
-		specs []CellSpec
-		entry int // first entry index to try
-	}
-	var chunks []chunk
-	for off := 0; off < len(specs); off += chunkSize {
-		end := off + chunkSize
-		if end > len(specs) {
-			end = len(specs)
-		}
-		slot := m.next.Add(1) - 1
-		chunks = append(chunks, chunk{
-			specs: specs[off:end],
-			entry: m.ring[slot%uint64(len(m.ring))],
-		})
-	}
-
-	var (
-		mu      sync.Mutex
-		merged  []CellResult
-		firstEr error
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, c := range chunks {
-		wg.Add(1)
-		go func(c chunk) {
-			defer wg.Done()
-			var lastErr error
-			held := -1 // entry whose busy lock this chunk holds
-			for attempt := 0; attempt < len(m.entries); attempt++ {
-				idx := (c.entry + attempt) % len(m.entries)
-				m.busy[idx].Lock()
-				held = idx
-				// Checked after the wait: another chunk may have failed
-				// the batch while this one queued for idx.
-				if ctx.Err() != nil {
-					lastErr = ctx.Err()
-					break
-				}
-				res, err := m.entries[idx].Backend.Run(ctx, c.specs)
-				if err == nil {
-					m.busy[idx].Unlock()
-					mu.Lock()
-					merged = append(merged, res...)
-					mu.Unlock()
-					return
-				}
-				lastErr = fmt.Errorf("backend %s: %w", m.entries[idx].Backend.Name(), err)
-				if errors.Is(err, ErrPermanent) {
-					// A deterministic cell/scenario failure would repeat
-					// identically on every backend: fail the batch while
-					// still holding idx, so no queued chunk runs on it.
-					break
-				}
-				if ctx.Err() != nil {
-					// Canceled mid-run: the backend did not fail the
-					// chunk, so it is not charged a requeue.
-					lastErr = ctx.Err()
-					break
-				}
-				m.busy[idx].Unlock()
-				held = -1
-				// Requeue: charge the failed backend for every cell that
-				// now has to run elsewhere.
-				m.retries[idx].Add(uint64(len(c.specs)))
-			}
-			mu.Lock()
-			if firstEr == nil {
-				firstEr = lastErr
-			}
-			mu.Unlock()
-			cancel()
-			if held >= 0 {
-				m.busy[held].Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	sortResultsByShard(merged)
-	return merged, nil
-}
-
-// sortResultsByShard orders results canonically. The input is whole
-// chunks concatenated in completion order — sorted within a chunk but
-// arbitrarily interleaved across chunks — so this must not assume
-// nearly-sorted data.
+// sortResultsByShard orders results canonically. The input arrives in
+// completion order, so this must not assume nearly-sorted data.
 func sortResultsByShard(rs []CellResult) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Shard < rs[j].Shard })
 }

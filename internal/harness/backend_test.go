@@ -5,38 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
-
-// flakyBackend fails batches at the transport level: the first failN Run
-// calls execute part of the batch (mid-batch death) and then report a
-// batch error, after which it behaves like its inner local backend.
-type flakyBackend struct {
-	inner *LocalBackend
-	calls atomic.Uint64
-	failN uint64
-}
-
-func (f *flakyBackend) Name() string { return "flaky" }
-
-func (f *flakyBackend) Close() error { return nil }
-
-func (f *flakyBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	if f.calls.Add(1) <= f.failN {
-		// Execute half the batch before dying, like a worker lost mid-run;
-		// the partial work must be invisible in the final merged results.
-		if len(specs) > 1 {
-			if _, err := f.inner.Run(ctx, specs[:len(specs)/2]); err != nil {
-				return nil, err
-			}
-		}
-		return nil, errors.New("flaky backend dropped the batch")
-	}
-	return f.inner.Run(ctx, specs)
-}
 
 func mapSquares(t *testing.T, pool *Pool, n int) []float64 {
 	t.Helper()
@@ -48,58 +19,6 @@ func mapSquares(t *testing.T, pool *Pool, n int) []float64 {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// TestMultiBackendRequeueBitIdentical is the backend failure-path gate:
-// a backend that errors mid-batch must trigger requeue onto another
-// backend, and the final results must be bit-identical to a pure local
-// run.
-func TestMultiBackendRequeueBitIdentical(t *testing.T) {
-	const n = 64
-	want := mapSquares(t, NewPool(2, 77), n)
-
-	flaky := &flakyBackend{inner: NewLocalBackend(2), failN: 3}
-	multi := NewMultiBackend(
-		WeightedBackend{Backend: flaky, Weight: 2},
-		WeightedBackend{Backend: NewLocalBackend(2), Weight: 1},
-	)
-	pool := NewPool(2, 77)
-	pool.SetBackend(multi)
-	got := mapSquares(t, pool, n)
-
-	if !reflect.DeepEqual(got, want) {
-		t.Error("requeued results differ from a pure local run")
-	}
-	stats := multi.BackendStats()
-	var retries uint64
-	for _, s := range stats {
-		if s.Backend == "flaky" {
-			retries = s.Retries
-		}
-	}
-	if retries == 0 {
-		t.Errorf("flaky backend failures were not accounted as retries: %+v", stats)
-	}
-	if flaky.calls.Load() <= flaky.failN {
-		t.Errorf("flaky backend was never retried with work after recovering (calls=%d)", flaky.calls.Load())
-	}
-}
-
-// TestMultiBackendAllBackendsFail pins the terminal case: when every
-// backend fails a chunk, Run reports the failure instead of hanging or
-// silently dropping cells.
-func TestMultiBackendAllBackendsFail(t *testing.T) {
-	multi := NewMultiBackend(
-		WeightedBackend{Backend: &flakyBackend{inner: NewLocalBackend(1), failN: ^uint64(0)}},
-		WeightedBackend{Backend: &flakyBackend{inner: NewLocalBackend(1), failN: ^uint64(0)}},
-	)
-	pool := NewPool(1, 1)
-	pool.SetBackend(multi)
-	_, err := Map(context.Background(), pool, "doomed", 8,
-		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil })
-	if err == nil || !strings.Contains(err.Error(), "dropped the batch") {
-		t.Fatalf("err = %v, want the backends' batch failure", err)
-	}
 }
 
 // shortBackend returns fewer results than specs without any error — a

@@ -19,20 +19,22 @@
 //
 // # Backends
 //
-// Four Backend implementations ship with the package:
+// Two Backend implementations ship with the package:
 //
 //   - LocalBackend: the in-process goroutine pool (the default).
-//   - ExecBackend: subprocess workers (`stbpu-suite -worker`) fed
-//     CellSpec batches as length-prefixed JSON frames over stdio — the
-//     building block for multi-machine runs via ssh or a job runner.
-//   - RemoteBackend: the same frames over TCP to an elastic fleet —
-//     workers (`stbpu-suite -worker -connect host:port`) join and leave
-//     at will; the coordinator heartbeats them, requeues chunks from
-//     dead workers, and speculatively re-executes stragglers'
-//     cells (first result wins, duplicates discarded by address).
-//   - MultiBackend: weighted round-robin across child backends with
-//     requeue on transport failure; batch failures marked Permanent
-//     (deterministic scenario bugs) propagate instead of retrying.
+//   - RemoteBackend: the worker fleet, the one scheduler behind every
+//     distributed run. Its members speak one protocol — a JSON
+//     hello/welcome handshake, then length-prefixed binary frames — over
+//     whatever connection admitted them: TCP workers that dial in
+//     (`stbpu-suite -worker -connect host:port`), subprocesses the
+//     fleet spawns on stdio pipes (`-backend exec`), and an in-process
+//     member on an in-memory pipe (`-backend mixed`). Members join and
+//     leave at will; the coordinator routes chunks to the worker whose
+//     caches are warm, heartbeats members, requeues chunks from dead
+//     ones, and speculatively re-executes stragglers' cells (first
+//     result wins, duplicates discarded by address). Chunk failures
+//     marked Permanent (deterministic scenario bugs) fail the run
+//     instead of retrying.
 //
 // Cells are addressable across processes as (scenario, params, scope,
 // shard, rootSeed), so a worker holding the same binary re-derives any

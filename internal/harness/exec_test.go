@@ -1,10 +1,11 @@
 package harness
 
-// Subprocess-backend tests re-exec this test binary as the worker: when
-// the worker-mode env var is set, TestMain serves the frame protocol on
+// Exec-fleet tests re-exec this test binary as the worker: when the
+// worker-mode env var is set, TestMain serves the fleet protocol on
 // stdio instead of running tests. Coordinator and worker therefore share
 // one binary and one scenario registry, exactly like stbpu-suite and
-// `stbpu-suite -worker`.
+// `stbpu-suite -worker`. The scripted modes (die, wedge, flaky,
+// remote-wedge) speak the real handshake and frames, then misbehave.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,6 +101,18 @@ func registerExecScenarios() {
 		},
 	})
 	Register(Scenario{
+		Name:        "_exec-slow",
+		Description: "exec-backend scenario whose cells take measurable time",
+		Defaults:    Params{Trials: 64},
+		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
+			return Map(ctx, pool, "_exec-slow", p.Trials,
+				func(ctx context.Context, shard int, seed uint64) (uint64, error) {
+					time.Sleep(2 * time.Millisecond)
+					return seed ^ uint64(shard), nil
+				})
+		},
+	})
+	Register(Scenario{
 		Name:        "_exec-failing",
 		Description: "exec-backend failing-cell scenario",
 		Defaults:    Params{Trials: 8},
@@ -127,17 +141,22 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	case "die":
-		// Simulate a worker killed mid-batch: swallow one request, leave a
-		// trace on stderr, and vanish without answering.
-		var req workerRequest
-		_ = readFrame(os.Stdin, &req)
+		// Simulate a worker killed mid-chunk: join, swallow one work
+		// frame, leave a trace on stderr, and vanish without answering.
+		if _, err := scriptedHandshake(os.Stdin, os.Stdout, "die"); err != nil {
+			os.Exit(1)
+		}
+		_, _ = readWork(os.Stdin)
 		fmt.Fprintln(os.Stderr, "worker going down for the kill test")
 		os.Exit(3)
 	case "wedge":
-		// Simulate a hung (not dead) worker: swallow one request, then
-		// block forever — the shape only a batch timeout can unstick.
-		var req workerRequest
-		_ = readFrame(os.Stdin, &req)
+		// Simulate a hung (not dead) worker: join, swallow one work
+		// frame, then block forever without heartbeats — the shape only
+		// the heartbeat deadline can unstick.
+		if _, err := scriptedHandshake(os.Stdin, os.Stdout, "wedge"); err != nil {
+			os.Exit(1)
+		}
+		_, _ = readWork(os.Stdin)
 		fmt.Fprintln(os.Stderr, "worker wedged and will never answer")
 		select {}
 	case "remote-wedge":
@@ -146,27 +165,22 @@ func TestMain(m *testing.M) {
 		// heartbeating) until the test delivers SIGKILL.
 		remoteWedgeWorkerMain()
 	case "flaky":
-		// Serve two batches correctly, then die mid-protocol — yields
-		// exec Runs that partially succeeded before failing, the shape
-		// that must not double-count cells once MultiBackend requeues.
+		// Serve two chunks correctly, then die holding the third — a
+		// member lost after it already delivered results, the shape that
+		// must not double-count cells once the fleet requeues.
 		registerExecScenarios()
-		served := 0
-		for {
-			var req workerRequest
-			if err := readFrame(os.Stdin, &req); err != nil {
+		if _, err := scriptedHandshake(os.Stdin, os.Stdout, "flaky"); err != nil {
+			os.Exit(1)
+		}
+		for served := 0; ; served++ {
+			work, err := readWork(os.Stdin)
+			if err != nil {
 				os.Exit(0)
 			}
 			if served >= 2 {
 				os.Exit(3)
 			}
-			served++
-			resp := workerResponse{}
-			if results, err := ExecuteCells(context.Background(), req.Cells, 1, nil); err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Results = results
-			}
-			if err := writeFrame(os.Stdout, resp); err != nil {
+			if answerWork(os.Stdout, work) != nil {
 				os.Exit(1)
 			}
 		}
@@ -175,17 +189,57 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// newTestExecBackend spawns workers by re-exec'ing this test binary.
-func newTestExecBackend(t *testing.T, workers int, mode string) *ExecBackend {
+// scriptedHandshake runs the worker half of the handshake for the
+// hand-rolled test workers.
+func scriptedHandshake(r io.Reader, w io.Writer, name string) (remoteWelcome, error) {
+	var welcome remoteWelcome
+	if _, err := writeJSONFrame(w, remoteHello{Proto: remoteProtoVersion, Name: name}); err != nil {
+		return welcome, err
+	}
+	_, err := readJSONFrame(r, &welcome)
+	return welcome, err
+}
+
+// readWork reads one work frame.
+func readWork(r io.Reader) (*wireMsg, error) {
+	payload, err := readRawFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	m, err := decodeWireMsg(payload)
+	if err == nil && m.kind != wireKindWork {
+		err = fmt.Errorf("frame kind %d, want work", m.kind)
+	}
+	return m, err
+}
+
+// writeResults answers the work frame seq with results or a batch error.
+func writeResults(w io.Writer, seq uint64, results []CellResult, batchErr string, permanent bool) error {
+	return writeRawFrame(w, encodeWireMsg(&wireMsg{kind: wireKindResults, seq: seq, results: results, err: batchErr, permanent: permanent}))
+}
+
+// answerWork executes a work frame's cells like a real worker and
+// answers them.
+func answerWork(w io.Writer, work *wireMsg) error {
+	results, err := executeCells(context.Background(), work.cells, cellEnv{workers: 1, traceMajor: true, snapshots: true})
+	if err != nil {
+		return writeResults(w, work.seq, nil, err.Error(), false)
+	}
+	return writeResults(w, work.seq, results, "", false)
+}
+
+// newTestExecBackend builds an exec fleet whose members re-exec this
+// test binary in the given worker mode.
+func newTestExecBackend(t *testing.T, workers int, mode string) *RemoteBackend {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &ExecBackend{
-		Command: []string{exe},
-		Env:     []string{workerEnvVar + "=" + mode},
-		Workers: workers,
+	b := &RemoteBackend{
+		Spawn:        workers,
+		SpawnCommand: []string{exe},
+		SpawnEnv:     []string{workerEnvVar + "=" + mode},
 	}
 	t.Cleanup(func() { b.Close() })
 	return b
@@ -229,9 +283,9 @@ func TestExecBackendMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestExecBackendNegotiatesBinary: a stock coordinator/worker pair must
-// settle on the binary codec in the hello exchange and carry the actual
-// work frames on it, without disturbing result bytes.
+// TestExecBackendNegotiatesBinary: after the JSON hello/welcome
+// exchange, a stock coordinator/worker pair must carry the actual work
+// frames on the binary codec, without disturbing result bytes.
 func TestExecBackendNegotiatesBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -252,33 +306,6 @@ func TestExecBackendNegotiatesBinary(t *testing.T) {
 	}
 	if st.WireJSONBytes == 0 {
 		t.Errorf("handshake frames should still be JSON-counted: %+v", st)
-	}
-}
-
-// TestExecWirePinnedJSON: Wire "json" must pin the whole exchange to
-// JSON frames — the escape hatch for old workers and debugging — with
-// bytes still identical to local.
-func TestExecWirePinnedJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocess workers")
-	}
-	local := runWire(t, NewPool(2, 888))
-
-	pool := NewPool(2, 888)
-	backend := newTestExecBackend(t, 1, "serve")
-	backend.Wire = "json"
-	pool.SetBackend(backend)
-	remote := runWire(t, pool)
-
-	if !bytes.Equal(mustJSON(t, local), mustJSON(t, remote)) {
-		t.Error("pinned-JSON exec results diverge from local")
-	}
-	st := backend.BackendStats()[0]
-	if st.WireBinaryBytes != 0 {
-		t.Errorf("pinned-JSON wire still moved %d binary bytes", st.WireBinaryBytes)
-	}
-	if st.WireJSONBytes == 0 {
-		t.Error("pinned-JSON wire counted no frame bytes at all")
 	}
 }
 
@@ -328,7 +355,7 @@ func TestExecBackendKilledWorkerSurfacesRootCause(t *testing.T) {
 			t.Fatal("a killed worker produced no error")
 		}
 		msg := o.err.Error()
-		if !strings.Contains(msg, "exec worker 0") || !strings.Contains(msg, "going down for the kill test") {
+		if !strings.Contains(msg, "exec worker 0") || !strings.Contains(msg, "going down for the kill test") || !strings.Contains(msg, "exit status 3") {
 			t.Errorf("error lacks root cause (worker id + stderr): %v", o.err)
 		}
 	case <-time.After(30 * time.Second):
@@ -337,16 +364,17 @@ func TestExecBackendKilledWorkerSurfacesRootCause(t *testing.T) {
 }
 
 // TestExecBackendBatchTimeoutKillsWedgedWorker: a worker that hangs
-// (rather than exits) used to stall the run forever; the batch timeout
-// must kill it, surface the stderr post-mortem, and fail the batch
-// promptly so a router can requeue it.
+// (rather than exits) used to stall the run forever. The heartbeat
+// deadline, which took over the old per-batch timeout, must declare it
+// dead, kill it, surface the stderr post-mortem, and — with no other
+// member and no listener — fail the run promptly.
 func TestExecBackendBatchTimeoutKillsWedgedWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
 	pool := NewPool(2, 9)
 	backend := newTestExecBackend(t, 1, "wedge")
-	backend.BatchTimeout = 500 * time.Millisecond
+	backend.HeartbeatTimeout = 500 * time.Millisecond
 	pool.SetBackend(backend)
 
 	type outcome struct {
@@ -363,31 +391,48 @@ func TestExecBackendBatchTimeoutKillsWedgedWorker(t *testing.T) {
 			t.Fatal("a wedged worker produced no error")
 		}
 		msg := o.err.Error()
-		if !strings.Contains(msg, "batch timeout") || !strings.Contains(msg, "wedged and will never answer") {
-			t.Errorf("error lacks the timeout diagnosis + stderr post-mortem: %v", o.err)
+		if !strings.Contains(msg, "exec worker 0") || !strings.Contains(msg, "heartbeat timeout") || !strings.Contains(msg, "wedged and will never answer") {
+			t.Errorf("error lacks the worker, the timeout diagnosis, or the stderr post-mortem: %v", o.err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("wedged worker hung the run despite the batch timeout")
+		t.Fatal("wedged worker hung the run despite the heartbeat deadline")
 	}
 }
 
-// TestExecBatchTimeoutRequeuesOntoMulti: when the timed-out exec batch
-// sits under a MultiBackend, the chunk must requeue onto the healthy
-// backend and leave results byte-identical to a pure local run.
+// newMixedFleet builds a mixed fleet — workers exec members in mode
+// plus one in-process member — and waits until every member has
+// joined, so each is idle when the first run starts. Its heartbeat
+// timeout bounds a hung member; the straggler floor keeps speculation
+// out of the way, so the liveness path is what recovers a chunk.
+func newMixedFleet(t *testing.T, workers int, mode string) *RemoteBackend {
+	t.Helper()
+	b := newTestExecBackend(t, workers, mode)
+	b.HeartbeatTimeout = 500 * time.Millisecond
+	b.MinStragglerAge = time.Minute
+	b.JoinInProcess(WorkerOptions{Workers: 1})
+	b.mu.Lock()
+	err := b.spawnLocked()
+	b.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJoins(t, b, uint64(workers)+1)
+	return b
+}
+
+// TestExecBatchTimeoutRequeuesOntoMulti: when a wedged exec member sits
+// in a mixed fleet, its chunk must requeue onto the in-process member
+// once the heartbeat deadline (which replaced the per-batch timeout)
+// declares it dead, leaving results byte-identical to a pure local run.
 func TestExecBatchTimeoutRequeuesOntoMulti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
 	local := runWire(t, NewPool(2, 642))
 
-	wedged := newTestExecBackend(t, 1, "wedge")
-	wedged.BatchTimeout = 500 * time.Millisecond
-	multi := NewMultiBackend(
-		WeightedBackend{Backend: wedged, Weight: 1},
-		WeightedBackend{Backend: NewLocalBackend(2), Weight: 1},
-	)
+	fleet := newMixedFleet(t, 1, "wedge")
 	pool := NewPool(2, 642)
-	pool.SetBackend(multi)
+	pool.SetBackend(fleet)
 	mixed := runWire(t, pool)
 
 	a, err := json.Marshal(local)
@@ -402,52 +447,99 @@ func TestExecBatchTimeoutRequeuesOntoMulti(t *testing.T) {
 		t.Errorf("timeout-requeued run diverges from local:\nlocal: %s\nmixed: %s", a, b)
 	}
 	retried := false
-	for _, st := range multi.BackendStats() {
+	for _, st := range fleet.BackendStats() {
 		if st.Retries > 0 {
 			retried = true
 		}
 	}
 	if !retried {
-		t.Error("no retries recorded; the wedged backend's chunk was never requeued")
+		t.Error("no retries recorded; the wedged member's chunk was never requeued")
 	}
 }
 
-// TestMixedRequeueCellAccounting: when exec workers fail batches that
-// already had partial results, requeue onto the local backend must leave
-// both the results and the cell accounting identical to a pure local
-// run — cells from a failed batch may not be counted or streamed.
+// TestMixedRequeueCellAccounting: when an exec member dies after
+// already delivering results, requeue onto the in-process member must
+// leave both the results and the cell accounting identical to a pure
+// local run — a cell may be counted and streamed only once.
 func TestMixedRequeueCellAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
-	local := runWire(t, NewPool(2, 321))
+	run := func(pool *Pool) []Report {
+		t.Helper()
+		reports, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-slow"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reports
+	}
+	local := run(NewPool(2, 321))
 
-	multi := NewMultiBackend(
-		WeightedBackend{Backend: newTestExecBackend(t, 2, "flaky"), Weight: 1},
-		WeightedBackend{Backend: NewLocalBackend(2), Weight: 1},
-	)
+	// Two members of equal speed split eight chunks, so the flaky one
+	// serves two and dies holding a third.
+	fleet := newMixedFleet(t, 1, "flaky")
 	pool := NewPool(2, 321)
-	pool.SetBackend(multi)
-	mixed := runWire(t, pool)
+	pool.SetBackend(fleet)
+	mixed := run(pool)
 
-	a, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("requeued mixed run diverges from local:\nlocal: %s\nmixed: %s", a, b)
+	if !bytes.Equal(mustJSON(t, local), mustJSON(t, mixed)) {
+		t.Error("requeued mixed run diverges from local")
 	}
 	if mixed[0].Cells != local[0].Cells {
 		t.Errorf("requeue double-counted cells: local %d, mixed %d", local[0].Cells, mixed[0].Cells)
 	}
+	if st := fleet.BackendStats()[0]; st.Backend != "mixed" || st.Retries == 0 {
+		t.Errorf("the flaky member's chunk was never requeued: %+v", st)
+	}
+}
+
+// TestExecFleetLastMemberLostFailsRun: with no listener, a fleet whose
+// every member died cannot finish, so the run must fail at once with a
+// member's post-mortem instead of waiting out the join grace.
+func TestExecFleetLastMemberLostFailsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	pool := NewPool(2, 5)
+	pool.SetBackend(newTestExecBackend(t, 2, "die"))
+	start := time.Now()
+	_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
+	if err == nil || !strings.Contains(err.Error(), "going down for the kill test") {
+		t.Fatalf("err = %v, want a dead member's post-mortem", err)
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Errorf("all-members-dead failure took %v", d)
+	}
+}
+
+// TestExecFleetRespawnsDeadMember: a member that died between runs is
+// replaced at the start of the next Run.
+func TestExecFleetRespawnsDeadMember(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	local := runWire(t, NewPool(2, 31))
+	fleet := newTestExecBackend(t, 1, "serve")
+	pool := NewPool(2, 31)
+	pool.SetBackend(fleet)
+	runWire(t, pool)
+
+	fleet.mu.Lock()
+	m := fleet.members[0]
+	fleet.mu.Unlock()
+	m.stop()
+	<-m.exited
+	again := runWire(t, pool)
+	if !bytes.Equal(mustJSON(t, local), mustJSON(t, again)) {
+		t.Error("run on the respawned member diverges from local")
+	}
+	if st := fleet.BackendStats()[0]; st.Joins != 2 || len(st.Workers) != 2 {
+		t.Errorf("dead member was not replaced: %+v", st)
+	}
 }
 
 // TestExecBackendRejectsAnonymousCells: Map calls outside RunAll carry
-// no scenario context, so wire backends must refuse them loudly.
+// no scenario context, so a fleet must refuse them loudly.
 func TestExecBackendRejectsAnonymousCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -462,13 +554,23 @@ func TestExecBackendRejectsAnonymousCells(t *testing.T) {
 }
 
 // TestServeWorkerProtocolRoundTrip drives the worker loop in-process
-// over pipes: one request frame in, one result frame out, clean EOF
-// shutdown.
+// over a pipe: hello out, welcome in, one work frame in, one result
+// frame out, clean shutdown when the coordinator closes its end.
 func TestServeWorkerProtocolRoundTrip(t *testing.T) {
-	reqR, reqW := io.Pipe()
-	respR, respW := io.Pipe()
+	coord, worker := net.Pipe()
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- ServeWorker(context.Background(), reqR, respW, WorkerOptions{Workers: 1}) }()
+	go func() { serveDone <- ServeWorker(context.Background(), worker, worker, WorkerOptions{Workers: 1}) }()
+
+	var hello remoteHello
+	if _, err := readJSONFrame(coord, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if hello.Proto != remoteProtoVersion || hello.Name == "" {
+		t.Fatalf("hello = %+v", hello)
+	}
+	if _, err := writeJSONFrame(coord, remoteWelcome{Proto: remoteProtoVersion, HeartbeatMS: 60_000}); err != nil {
+		t.Fatal(err)
+	}
 
 	params := Params{Trials: 4}
 	specs := make([]CellSpec, params.Trials)
@@ -478,24 +580,26 @@ func TestServeWorkerProtocolRoundTrip(t *testing.T) {
 			Shard: i, Seed: ShardSeed(42, "_exec-wire", i), RootSeed: 42,
 		}
 	}
-	writeDone := make(chan error, 1)
-	go func() { writeDone <- writeFrame(reqW, workerRequest{Cells: specs}) }()
-	var resp workerResponse
-	if err := readFrame(respR, &resp); err != nil {
+	if err := writeRawFrame(coord, encodeWireMsg(&wireMsg{kind: wireKindWork, seq: 7, cells: specs})); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-writeDone; err != nil {
+	payload, err := readRawFrame(coord)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err != "" {
-		t.Fatalf("worker error: %s", resp.Err)
+	resp, err := decodeWireMsg(payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(resp.Results) != params.Trials {
-		t.Fatalf("got %d results, want %d", len(resp.Results), params.Trials)
+	if resp.kind != wireKindResults || resp.seq != 7 || resp.err != "" {
+		t.Fatalf("reply kind=%d seq=%d err=%q", resp.kind, resp.seq, resp.err)
 	}
-	for i, r := range resp.Results {
+	if len(resp.results) != params.Trials {
+		t.Fatalf("got %d results, want %d", len(resp.results), params.Trials)
+	}
+	for i, r := range resp.results {
 		var cell wireCell
-		if err := decodeInto(&resp.Results[i], &cell); err != nil {
+		if err := decodeInto(&resp.results[i], &cell); err != nil {
 			t.Fatal(err)
 		}
 		if cell.Shard != r.Shard || cell.Seed != ShardSeed(42, "_exec-wire", r.Shard) {
@@ -503,14 +607,14 @@ func TestServeWorkerProtocolRoundTrip(t *testing.T) {
 		}
 	}
 
-	reqW.Close()
+	coord.Close()
 	select {
 	case err := <-serveDone:
 		if err != nil {
-			t.Errorf("ServeWorker returned %v on clean EOF", err)
+			t.Errorf("ServeWorker returned %v on a clean close", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Error("ServeWorker did not stop on EOF")
+		t.Error("ServeWorker did not stop when the coordinator closed")
 	}
 }
 
@@ -539,9 +643,9 @@ func TestExecWorkerSharesTraceDir(t *testing.T) {
 	}
 	local := runTrace(t, NewPool(2, 77))
 
-	newBackend := func() *ExecBackend {
+	newBackend := func() *RemoteBackend {
 		b := newTestExecBackend(t, 1, "serve")
-		b.Env = append(b.Env, workerTraceDirEnvVar+"="+dir)
+		b.SpawnEnv = append(b.SpawnEnv, workerTraceDirEnvVar+"="+dir)
 		return b
 	}
 	pool := NewPool(2, 77)

@@ -140,7 +140,7 @@ type Pool struct {
 	backend  Backend
 	// scenario/params are the scenario context RunAll (or a worker's
 	// capture run) establishes around Scenario.Run, stamped into every
-	// CellSpec so wire backends can address cells by name.
+	// CellSpec so fleet workers can address cells by name.
 	scenario       string
 	scenarioParams Params
 	// modelMajor disables trace-major grouping (see SetTraceMajor;
@@ -361,11 +361,11 @@ func (p *Pool) currentSink() Sink {
 // returns ctx.Err().
 //
 // With the default LocalBackend the cell functions run in-process on the
-// pool's goroutine workers, exactly as before backends existed. With a
-// wire backend (ExecBackend, MultiBackend routing to one) the specs are
-// shipped by (scenario, params, scope, shard, root seed) and executed
-// remotely; Map merges whatever comes back into shard order, so results
-// are bit-identical regardless of which backend ran which cell.
+// pool's goroutine workers, exactly as before backends existed. On a
+// fleet (RemoteBackend) the specs are shipped by (scenario, params,
+// scope, shard, root seed) and executed by its workers; Map merges
+// whatever comes back into shard order, so results are bit-identical
+// regardless of which worker ran which cell.
 //
 // When the pool's sink implements CellLookup (a resumed Journal), cells
 // the lookup already holds are not re-executed: their stored values are

@@ -1,11 +1,13 @@
 package harness
 
-// Elastic network execution: RemoteBackend is a TCP coordinator for a
-// dynamic worker fleet. Workers dial in (`stbpu-suite -worker -connect
-// host:port`), speak the same length-prefixed CellSpec/CellResult
-// frames as the exec backend (JSON by default, the compact binary
-// codec when the hello/welcome handshake negotiates it — see wire.go),
-// and may join or leave at any point in a run:
+// The worker fleet: RemoteBackend is the one scheduler behind every
+// distributed backend. Its members are connections that speak the fleet
+// protocol (a JSON hello/welcome handshake, then binary frames — see
+// wire.go): TCP workers that dial the coordinator's listener
+// (`stbpu-suite -worker -connect host:port`), subprocesses it spawns
+// itself on stdio pipes (`-backend exec`), and an in-process worker on
+// an in-memory pipe (the local share of `-backend mixed`). Members may
+// join or leave at any point in a run:
 //
 //   - Batches split into chunks pulled by whichever workers are live;
 //     a worker that joins mid-run starts pulling immediately. Chunks
@@ -17,8 +19,9 @@ package harness
 //     preferred worker is busy — an idle fleet never starves.
 //   - Liveness is heartbeat-based: workers send a heartbeat frame on a
 //     coordinator-chosen cadence, and a connection silent past the
-//     heartbeat timeout is declared dead. Its in-flight chunk requeues
-//     (filtered to the cells no other copy has delivered yet).
+//     heartbeat timeout is declared dead — a hung subprocess is killed.
+//     Its in-flight chunk requeues (filtered to the cells no other copy
+//     has delivered yet).
 //   - Stragglers are handled by speculative re-execution: when the
 //     queue is drained and a worker sits idle while another holds a
 //     chunk past the straggler threshold, the idle worker re-runs the
@@ -34,10 +37,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net"
 	"os"
 	"sort"
@@ -47,8 +49,9 @@ import (
 )
 
 const (
-	// remoteProtoVersion gates the hello/welcome handshake.
-	remoteProtoVersion = 1
+	// remoteProtoVersion gates the hello/welcome handshake. Version 2
+	// dropped JSON work frames: every frame after the handshake is bin1.
+	remoteProtoVersion = 2
 	// remoteChunkTarget is how many chunks per live worker a batch
 	// splits into; small chunks keep late joiners and steals effective.
 	remoteChunkTarget = 4
@@ -66,9 +69,6 @@ type remoteHello struct {
 	Proto int `json:"proto"`
 	// Name labels the worker in fleet stats (conventionally host/pid).
 	Name string `json:"name,omitempty"`
-	// Codecs advertises the frame codecs the worker can speak beyond
-	// JSON (see wire.go); old workers omit it and stay on JSON.
-	Codecs []string `json:"codecs,omitempty"`
 }
 
 // remoteWelcome is the coordinator's handshake reply.
@@ -96,39 +96,17 @@ type remoteWelcome struct {
 	SnapDir   string `json:"snap_dir,omitempty"`
 	// WorkloadSpecs carries the coordinator's raw JSON workload-spec
 	// documents; a joining worker registers them before serving cells,
-	// so a bare `-worker -connect` fleet resolves the same spec
-	// workload names the coordinator schedules.
+	// so a bare `-worker` fleet resolves the same spec workload names
+	// the coordinator schedules.
 	WorkloadSpecs []string `json:"workload_specs,omitempty"`
-	// Codec is the frame codec the coordinator selected from the
-	// hello's advertised list; empty means JSON. All frames after the
-	// handshake use it, in both directions.
-	Codec string `json:"codec,omitempty"`
 }
 
-// remoteWork is one coordinator → worker frame after the handshake.
-type remoteWork struct {
-	Seq   uint64     `json:"seq"`
-	Cells []CellSpec `json:"cells"`
-	// Prefetch names locality keys the worker is likely to serve next,
-	// so it can warm trace/snapshot tiers while computing this chunk.
-	// Advisory: results never depend on it.
-	Prefetch []string `json:"prefetch,omitempty"`
-}
-
-// remoteReply is one worker → coordinator frame after the handshake:
-// either a heartbeat or the results of the chunk identified by Seq.
-type remoteReply struct {
-	Type      string       `json:"type"` // "heartbeat" or "results"
-	Seq       uint64       `json:"seq,omitempty"`
-	Results   []CellResult `json:"results,omitempty"`
-	Err       string       `json:"err,omitempty"`
-	Permanent bool         `json:"permanent,omitempty"`
-}
-
-// RemoteBackend executes cells on an elastic fleet of TCP workers. The
-// zero value is usable: Run listens lazily on Addr (default
-// 127.0.0.1:0) and waits up to JoinGrace for the first worker. The
-// exported fields must be set before the first Run or Start.
+// RemoteBackend executes cells on an elastic worker fleet. The zero
+// value is a TCP coordinator: Run listens lazily on Addr (default
+// 127.0.0.1:0) and waits up to JoinGrace for the first worker. With
+// Spawn set (or an in-process member joined) the fleet brings its own
+// members and listens only if Start is called. The exported fields must
+// be set before the first Run or Start.
 type RemoteBackend struct {
 	// Addr is the TCP listen address, e.g. ":7701" (empty means
 	// 127.0.0.1:0, useful for tests).
@@ -166,10 +144,20 @@ type RemoteBackend struct {
 	// off, dispatch is plain oldest-first work sharing and no prefetch
 	// hints are sent; results are identical either way.
 	Affinity *bool
-	// Wire selects the frame codec policy: empty negotiates the binary
-	// codec with workers that advertise it, "json" pins every worker to
-	// JSON frames.
-	Wire string
+	// Spawn is how many subprocess members the fleet keeps, each serving
+	// the protocol on its stdin/stdout (`-backend exec`). They start on
+	// the first Run; a member that died is respawned at the start of the
+	// next Run. Without a listener, a Run whose last member dies fails
+	// at once with that member's exit state and stderr tail.
+	Spawn int
+	// SpawnCommand is the member argv, e.g. `stbpu-suite -worker` with
+	// the per-machine resource bounds.
+	SpawnCommand []string
+	// SpawnEnv entries are appended to the inherited environment.
+	SpawnEnv []string
+
+	// inProcess, set by JoinInProcess, configures the in-process member.
+	inProcess *WorkerOptions
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -184,6 +172,12 @@ type RemoteBackend struct {
 	// received a chunk carrying it — the warmest home for the next one.
 	lastServed map[string]*remoteWorker
 	wire       wireStats
+	// members holds the member started in each slot: Spawn subprocesses,
+	// then the in-process member if there is one.
+	members []*member
+	// starting counts started members still in their handshake; with
+	// no listener, only they (or live workers) can still serve a run.
+	starting int
 	// lastWorkerAt is when the fleet last had a live member; JoinGrace
 	// measures from here (or from the run start, whichever is later).
 	lastWorkerAt time.Time
@@ -192,7 +186,7 @@ type RemoteBackend struct {
 	joins        uint64
 	leaves       uint64
 
-	sink   atomic.Pointer[cellNotify]
+	sinkSlot
 	wallNS atomic.Int64
 }
 
@@ -200,11 +194,11 @@ type RemoteBackend struct {
 // by the backend mutex except the write path (wmu serializes frame
 // writes to the connection).
 type remoteWorker struct {
-	id    int
-	name  string
-	conn  net.Conn
-	codec string // negotiated frame codec ("" = JSON)
-	wmu   sync.Mutex
+	id     int
+	name   string
+	conn   net.Conn
+	member *member // nil for a worker that dialed in
+	wmu    sync.Mutex
 
 	dead        bool
 	busy        *remoteChunk
@@ -254,21 +248,56 @@ type remoteRun struct {
 	// durations collects completed-chunk wall times for the straggler
 	// median.
 	durations []time.Duration
+	// failShard is the lowest shard whose cell failed (not merely
+	// canceled), or math.MaxInt. Map reports the lowest failing shard,
+	// so once a cell fails the run waits only for the shards below it.
+	failShard int
 	err       error
 	done      chan struct{}
 }
 
 func (r *remoteRun) finished() bool { return r.err != nil || r.remaining == 0 }
 
-// Name implements Backend.
-func (b *RemoteBackend) Name() string { return "remote" }
+// needs reports whether the run still waits for shard: it has no result
+// yet and lies below every failed shard.
+func (r *remoteRun) needs(shard int) bool {
+	_, got := r.got[shard]
+	return !got && shard < r.failShard
+}
 
-func (b *RemoteBackend) setSink(fn cellNotify) { b.sink.Store(&fn) }
-
-func (b *RemoteBackend) notify(c Cell, spec CellSpec, res CellResult) {
-	if fn := b.sink.Load(); fn != nil && *fn != nil {
-		(*fn)(c, spec, res)
+// failAt records a failed cell at shard. Shards above the lowest
+// failure cannot change the error Map reports, so the run stops waiting
+// for them and drops them from its queue.
+func (r *remoteRun) failAt(shard int) {
+	if shard >= r.failShard {
+		return
 	}
+	r.failShard = shard
+	r.remaining = 0
+	for s := range r.specOf {
+		if r.needs(s) {
+			r.remaining++
+		}
+	}
+	kept := r.pending[:0]
+	for _, c := range r.pending {
+		if c.specs = missingSpecs(r, c.specs); len(c.specs) > 0 {
+			kept = append(kept, c)
+		}
+	}
+	r.pending = kept
+}
+
+// Name implements Backend: "exec" for a fleet of spawned subprocesses,
+// "mixed" when an in-process member serves beside them, else "remote".
+func (b *RemoteBackend) Name() string {
+	switch {
+	case b.Spawn > 0 && b.inProcess != nil:
+		return "mixed"
+	case b.Spawn > 0:
+		return "exec"
+	}
+	return "remote"
 }
 
 func (b *RemoteBackend) heartbeatTimeout() time.Duration {
@@ -300,8 +329,9 @@ func (b *RemoteBackend) joinGrace() time.Duration {
 }
 
 // Start begins listening and accepting workers, returning the bound
-// address (which resolves an ephemeral port). Run calls it lazily; call
-// it explicitly to learn the address before launching workers.
+// address (which resolves an ephemeral port). Run calls it lazily for a
+// fleet with no members of its own; call it explicitly to learn the
+// address before launching workers.
 func (b *RemoteBackend) Start() (net.Addr, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -320,14 +350,18 @@ func (b *RemoteBackend) Start() (net.Addr, error) {
 		return nil, fmt.Errorf("remote backend: listen %s: %w", addr, err)
 	}
 	b.ln = ln
+	b.initLocked()
+	go b.acceptLoop(ln)
+	return ln.Addr(), nil
+}
+
+func (b *RemoteBackend) initLocked() {
 	if b.fleet == nil {
 		b.fleet = map[*remoteWorker]struct{}{}
 		b.inflight = map[uint64]*remoteChunk{}
 		b.runs = map[*remoteRun]struct{}{}
 		b.lastServed = map[string]*remoteWorker{}
 	}
-	go b.acceptLoop(ln)
-	return ln.Addr(), nil
 }
 
 func (b *RemoteBackend) acceptLoop(ln net.Listener) {
@@ -336,45 +370,79 @@ func (b *RemoteBackend) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		go b.admit(conn)
+		go b.admit(conn, nil)
 	}
 }
 
+// JoinInProcess gives the fleet a member that serves cells from
+// goroutines of this process over an in-memory pipe — the local share
+// of a mixed fleet. It speaks the same protocol as every other member,
+// adopts the same welcome settings, and starts and restarts with the
+// subprocess members; opts bounds its concurrency and stores. Call it
+// before the first Run.
+func (b *RemoteBackend) JoinInProcess(opts WorkerOptions) {
+	b.inProcess = &opts
+}
+
+// memberSlots is how many members the fleet starts itself.
+func (b *RemoteBackend) memberSlots() int {
+	if b.inProcess != nil {
+		return b.Spawn + 1
+	}
+	return b.Spawn
+}
+
+// spawnLocked starts the members a Run needs: every member slot that is
+// empty or whose member the fleet lost. Requires b.mu.
+func (b *RemoteBackend) spawnLocked() error {
+	b.initLocked()
+	for len(b.members) < b.memberSlots() {
+		b.members = append(b.members, nil)
+	}
+	for slot, m := range b.members {
+		if m != nil && !m.gone() {
+			continue
+		}
+		if slot == b.Spawn {
+			m = startInProcessMember(*b.inProcess)
+		} else {
+			var err error
+			if m, err = spawnMember(slot, b.SpawnCommand, b.SpawnEnv); err != nil {
+				return fmt.Errorf("spawn exec worker %d: %w", slot, err)
+			}
+		}
+		b.members[slot] = m
+		b.starting++
+		go b.admit(m.conn, m)
+	}
+	return nil
+}
+
 // admit runs the handshake (always JSON-framed) and, on success, adds
-// the worker to the fleet and starts its read loop.
-func (b *RemoteBackend) admit(conn net.Conn) {
-	_ = conn.SetDeadline(time.Now().Add(remoteHandshakeTimeout))
-	var hello remoteHello
-	n, err := readJSONFrame(conn, &hello)
-	if err != nil || hello.Proto != remoteProtoVersion {
-		conn.Close()
-		return
-	}
-	b.wire.count("", n)
-	codec := negotiateCodec(hello.Codecs, b.Wire)
-	welcome := remoteWelcome{
-		Proto:         remoteProtoVersion,
-		HeartbeatMS:   heartbeatInterval(b.heartbeatTimeout()).Milliseconds(),
-		TraceDir:      b.TraceDir,
-		TraceMajor:    b.TraceMajor,
-		TraceMmap:     b.TraceMmap,
-		Snapshots:     b.Snapshots,
-		SnapDir:       b.SnapDir,
-		WorkloadSpecs: b.WorkloadSpecs,
-		Codec:         codec,
-	}
-	n, err = writeJSONFrame(conn, welcome)
+// the worker to the fleet and starts its read loop. m is the member
+// behind conn when the backend started it itself, nil for a TCP accept.
+func (b *RemoteBackend) admit(conn net.Conn, m *member) {
+	hello, err := b.handshake(conn)
 	if err != nil {
 		conn.Close()
+		if m != nil {
+			err = m.postmortem(fmt.Errorf("handshake: %w", err))
+			b.mu.Lock()
+			b.starting--
+			m.lost = true
+			b.memberLostLocked(err)
+			b.mu.Unlock()
+		}
 		return
 	}
-	b.wire.count("", n)
-	_ = conn.SetDeadline(time.Time{})
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetKeepAlive(true)
 	}
 
 	b.mu.Lock()
+	if m != nil {
+		b.starting--
+	}
 	if b.closed {
 		b.mu.Unlock()
 		conn.Close()
@@ -384,7 +452,7 @@ func (b *RemoteBackend) admit(conn net.Conn) {
 	if name == "" {
 		name = "worker"
 	}
-	w := &remoteWorker{id: b.nextID, name: fmt.Sprintf("%s#%d", name, b.nextID), conn: conn, codec: codec, served: map[string]struct{}{}}
+	w := &remoteWorker{id: b.nextID, name: fmt.Sprintf("%s#%d", name, b.nextID), conn: conn, member: m, served: map[string]struct{}{}}
 	b.nextID++
 	b.joins++
 	b.fleet[w] = struct{}{}
@@ -394,6 +462,36 @@ func (b *RemoteBackend) admit(conn net.Conn) {
 	b.mu.Unlock()
 
 	go b.serveWorker(w)
+}
+
+// handshake reads the hello and answers the welcome, both JSON frames
+// under the handshake deadline.
+func (b *RemoteBackend) handshake(conn net.Conn) (remoteHello, error) {
+	_ = conn.SetDeadline(time.Now().Add(remoteHandshakeTimeout))
+	var hello remoteHello
+	n, err := readJSONFrame(conn, &hello)
+	if err != nil {
+		return hello, err
+	}
+	b.wire.jsonBytes.Add(uint64(n))
+	if hello.Proto != remoteProtoVersion {
+		return hello, fmt.Errorf("worker speaks protocol %d, want %d", hello.Proto, remoteProtoVersion)
+	}
+	welcome := remoteWelcome{
+		Proto:         remoteProtoVersion,
+		HeartbeatMS:   heartbeatInterval(b.heartbeatTimeout()).Milliseconds(),
+		TraceDir:      b.TraceDir,
+		TraceMajor:    b.TraceMajor,
+		TraceMmap:     b.TraceMmap,
+		Snapshots:     b.Snapshots,
+		SnapDir:       b.SnapDir,
+		WorkloadSpecs: b.WorkloadSpecs,
+	}
+	if n, err = writeJSONFrame(conn, welcome); err != nil {
+		return hello, err
+	}
+	b.wire.jsonBytes.Add(uint64(n))
+	return hello, conn.SetDeadline(time.Time{})
 }
 
 // heartbeatInterval derives the worker heartbeat cadence from the
@@ -419,73 +517,87 @@ func (b *RemoteBackend) serveWorker(w *remoteWorker) {
 		_ = w.conn.SetReadDeadline(time.Now().Add(b.heartbeatTimeout()))
 		payload, err := readRawFrame(w.conn)
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				err = fmt.Errorf("no frame within the %v heartbeat timeout", b.heartbeatTimeout())
+			}
 			b.failWorker(w, err)
 			return
 		}
-		b.wire.count(w.codec, len(payload))
-		var reply remoteReply
-		if len(payload) > 0 && payload[0] == binMagic {
-			m, err := decodeWireMsg(payload)
-			if err != nil {
-				b.failWorker(w, err)
-				return
-			}
-			switch m.kind {
-			case wireKindHeartbeat:
-				reply.Type = "heartbeat"
-			case wireKindResults:
-				reply = remoteReply{Type: "results", Seq: m.seq, Results: m.results, Err: m.err, Permanent: m.permanent}
-			default:
-				b.failWorker(w, fmt.Errorf("frame kind %d from worker", m.kind))
-				return
-			}
-		} else if err := json.Unmarshal(payload, &reply); err != nil {
+		b.wire.binaryBytes.Add(uint64(len(payload)))
+		m, err := decodeWireMsg(payload)
+		if err != nil {
 			b.failWorker(w, err)
 			return
 		}
-		switch reply.Type {
-		case "heartbeat":
+		switch m.kind {
+		case wireKindHeartbeat:
 			// The read deadline reset above is the entire point.
-		case "results":
-			b.handleResults(w, &reply)
+		case wireKindResults:
+			b.handleResults(w, m)
+		default:
+			b.failWorker(w, fmt.Errorf("frame kind %d from worker", m.kind))
+			return
 		}
 	}
 }
 
 // failWorker removes a worker from the fleet and requeues its in-flight
-// chunk.
+// chunk. A member the backend started gets a post-mortem (a hung
+// process is killed), and if nothing can replace it the active runs
+// fail with that diagnosis.
 func (b *RemoteBackend) failWorker(w *remoteWorker, cause error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if w.dead {
+		b.mu.Unlock()
 		return
 	}
 	w.dead = true
+	closed := b.closed
+	b.mu.Unlock()
 	w.conn.Close()
+	if w.member != nil && !closed {
+		// Outside the lock: reaping a killed process can take a moment.
+		cause = w.member.postmortem(cause)
+	}
+
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	delete(b.fleet, w)
 	b.leaves++
 	if chunk := w.busy; chunk != nil {
-		w.busy = nil
-		b.requeueLocked(chunk, fmt.Errorf("worker %s lost: %w", w.name, cause))
+		b.detachLocked(chunk)
+		if !chunk.run.finished() {
+			b.queueLocked(chunk, fmt.Errorf("worker %s lost: %w", w.name, cause))
+		}
+	}
+	if w.member != nil {
+		w.member.lost = true
+		b.memberLostLocked(cause)
 	}
 	b.dispatchLocked()
 }
 
-// requeueLocked returns an in-flight chunk to its run's queue, trimmed
-// to the shards no other copy has delivered. Requires b.mu.
-func (b *RemoteBackend) requeueLocked(chunk *remoteChunk, cause error) {
+// memberLostLocked fails every active run with the lost member's
+// diagnosis when nothing can take its place: no listener for new
+// workers, no live worker, no member still starting. Requires b.mu.
+func (b *RemoteBackend) memberLostLocked(cause error) {
+	if b.ln != nil || len(b.fleet) > 0 || b.starting > 0 {
+		return
+	}
+	for run := range b.runs {
+		b.failRunLocked(run, cause)
+	}
+}
+
+// detachLocked takes an in-flight chunk off its worker. Requires b.mu.
+func (b *RemoteBackend) detachLocked(chunk *remoteChunk) {
 	delete(b.inflight, chunk.seq)
-	chunk.seq = 0
-	chunk.worker = nil
-	run := chunk.run
-	delete(run.inflight, chunk)
+	delete(chunk.run.inflight, chunk)
+	chunk.worker.busy = nil
+	chunk.seq, chunk.worker = 0, nil
 	if chunk.source != nil {
 		chunk.source.clones--
 	}
-	if run.finished() {
-		return
-	}
-	b.queueLocked(chunk, cause)
 }
 
 // queueLocked puts a detached chunk back on its run's queue, trimmed to
@@ -510,11 +622,11 @@ func (b *RemoteBackend) queueLocked(chunk *remoteChunk, cause error) {
 	run.pending = append(run.pending, chunk)
 }
 
-// missingSpecs filters specs to the shards the run has not accepted yet.
+// missingSpecs filters specs to the shards the run still needs.
 func missingSpecs(run *remoteRun, specs []CellSpec) []CellSpec {
 	out := make([]CellSpec, 0, len(specs))
 	for _, s := range specs {
-		if _, ok := run.got[s.Shard]; !ok {
+		if run.needs(s.Shard) {
 			out = append(out, s)
 		}
 	}
@@ -523,28 +635,25 @@ func missingSpecs(run *remoteRun, specs []CellSpec) []CellSpec {
 
 // handleResults merges one results frame: first result per shard wins,
 // duplicates count as speculative waste, batch errors either fail the
-// run (permanent) or requeue the chunk (transient).
-func (b *RemoteBackend) handleResults(w *remoteWorker, reply *remoteReply) {
+// run (permanent) or requeue the chunk (transient). Every result of a
+// frame is merged before a failure among them narrows what the run
+// waits for: a worker's frame holds its chunk's root-cause failure
+// beside the lower cells that failure canceled, and Map needs both to
+// report the cause rather than the collateral cancellation.
+func (b *RemoteBackend) handleResults(w *remoteWorker, reply *wireMsg) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	chunk := b.inflight[reply.Seq]
+	chunk := b.inflight[reply.seq]
 	if chunk == nil || chunk.worker != w {
 		return // stale frame for a chunk already requeued elsewhere
 	}
-	delete(b.inflight, reply.Seq)
-	chunk.seq = 0
-	chunk.worker = nil
-	w.busy = nil
+	b.detachLocked(chunk)
 	run := chunk.run
-	delete(run.inflight, chunk)
-	if chunk.source != nil {
-		chunk.source.clones--
-	}
 
-	if reply.Err != "" {
-		err := fmt.Errorf("remote worker %s: %s", w.name, reply.Err)
+	if reply.err != "" {
+		err := fmt.Errorf("remote worker %s: %s", w.name, reply.err)
 		if !run.finished() {
-			if reply.Permanent {
+			if reply.permanent {
 				b.failRunLocked(run, Permanent(err))
 			} else {
 				// The worker stays in the fleet: a transient batch error
@@ -557,24 +666,41 @@ func (b *RemoteBackend) handleResults(w *remoteWorker, reply *remoteReply) {
 		return
 	}
 
+	ended := run.finished()
 	accepted := 0
-	for _, r := range reply.Results {
-		if _, dup := run.got[r.Shard]; dup || run.finished() {
+	failed := math.MaxInt
+	for _, r := range reply.results {
+		if _, dup := run.got[r.Shard]; dup || ended {
 			// A speculative copy (or a copy landing after the run ended)
 			// lost the race; bit-identity makes the discard safe.
 			w.speculative++
 			continue
 		}
+		if run.needs(r.Shard) {
+			run.remaining--
+		}
 		run.got[r.Shard] = r
-		run.remaining--
 		w.cells++
 		b.cellsTotal++
 		accepted++
+		if r.Err != "" && !r.Canceled && r.Shard < failed {
+			failed = r.Shard
+		}
 	}
 	if accepted > 0 {
 		run.durations = append(run.durations, time.Since(chunk.sentAt))
 		if chunk.speculative {
 			w.steals++
+		}
+	}
+	if !ended {
+		// A worker stops its chunk at its first failed cell, so the cells
+		// it skipped lie above that failure and the run no longer needs
+		// them. Anything the run does still need from the chunk goes back
+		// on the queue.
+		run.failAt(failed)
+		if len(missingSpecs(run, chunk.specs)) > 0 {
+			b.queueLocked(chunk, fmt.Errorf("worker %s returned %d of %d cells", w.name, len(reply.results), len(chunk.specs)))
 		}
 	}
 	b.maybeFinishLocked(run)
@@ -695,9 +821,9 @@ func (b *RemoteBackend) assignLocked(w *remoteWorker, chunk *remoteChunk) {
 	w.busy = chunk
 	b.inflight[chunk.seq] = chunk
 	chunk.run.inflight[chunk] = struct{}{}
-	work := remoteWork{Seq: chunk.seq, Cells: chunk.specs}
+	work := &wireMsg{kind: wireKindWork, seq: chunk.seq, cells: chunk.specs}
 	if b.affinityOn() {
-		work.Prefetch = b.prefetchHintLocked(w, chunk)
+		work.prefetch = b.prefetchHintLocked(w, chunk)
 	}
 	go b.send(w, work)
 }
@@ -827,23 +953,14 @@ func (b *RemoteBackend) stragglerThreshold(run *remoteRun) time.Duration {
 	return th
 }
 
-// send writes one work frame in the worker's codec, failing the worker
-// on error.
-func (b *RemoteBackend) send(w *remoteWorker, work remoteWork) {
-	var payload []byte
-	var err error
-	if w.codec == wireCodecBinary {
-		payload = encodeWireMsg(&wireMsg{kind: wireKindWork, seq: work.Seq, cells: work.Cells, prefetch: work.Prefetch})
-	} else {
-		payload, err = json.Marshal(work)
-	}
-	if err == nil {
-		b.wire.count(w.codec, len(payload))
-		w.wmu.Lock()
-		_ = w.conn.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
-		err = writeRawFrame(w.conn, payload)
-		w.wmu.Unlock()
-	}
+// send writes one work frame, failing the worker on error.
+func (b *RemoteBackend) send(w *remoteWorker, work *wireMsg) {
+	payload := encodeWireMsg(work)
+	b.wire.binaryBytes.Add(uint64(len(payload)))
+	w.wmu.Lock()
+	_ = w.conn.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
+	err := writeRawFrame(w.conn, payload)
+	w.wmu.Unlock()
 	if err != nil {
 		b.failWorker(w, fmt.Errorf("send chunk: %w", err))
 	}
@@ -859,8 +976,10 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	if _, err := b.Start(); err != nil {
-		return nil, err
+	if b.memberSlots() == 0 {
+		if _, err := b.Start(); err != nil {
+			return nil, err
+		}
 	}
 
 	run := &remoteRun{
@@ -868,6 +987,7 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 		specOf:    make(map[int]CellSpec, len(specs)),
 		got:       make(map[int]CellResult, len(specs)),
 		remaining: len(specs),
+		failShard: math.MaxInt,
 		inflight:  map[*remoteChunk]struct{}{},
 		done:      make(chan struct{}),
 	}
@@ -880,7 +1000,15 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 		b.mu.Unlock()
 		return nil, errors.New("remote backend is closed")
 	}
-	live := len(b.fleet)
+	if err := b.spawnLocked(); err != nil {
+		b.mu.Unlock()
+		return nil, err
+	}
+	if b.ln == nil && len(b.fleet) == 0 && b.starting == 0 {
+		b.mu.Unlock()
+		return nil, errors.New("fleet has no members and no listener")
+	}
+	live := len(b.fleet) + b.starting
 	if live < 1 {
 		live = 1
 	}
@@ -942,9 +1070,8 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 		return nil, err
 	}
 	sortResultsByShard(results)
-	// Stream completions only after the whole batch succeeded, mirroring
-	// ExecBackend: a failed batch must stay invisible to the pool's cell
-	// accounting.
+	// Stream completions only after the whole batch succeeded: a failed
+	// batch must stay invisible to the pool's cell accounting.
 	for i := range results {
 		r := &results[i]
 		s := run.specOf[r.Shard]
@@ -1027,7 +1154,8 @@ func (b *RemoteBackend) BackendStats() []BackendStats {
 
 // Close shuts the coordinator down: the listener stops accepting,
 // active runs fail, and worker connections close (which each worker
-// treats as a clean shutdown).
+// treats as a clean shutdown). Members the backend started are reaped,
+// and killed if they linger.
 func (b *RemoteBackend) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -1045,6 +1173,8 @@ func (b *RemoteBackend) Close() error {
 		delete(b.runs, run)
 		close(run.done)
 	}
+	members := b.members
+	b.members = nil
 	b.mu.Unlock()
 	if ln != nil {
 		ln.Close()
@@ -1052,175 +1182,17 @@ func (b *RemoteBackend) Close() error {
 	for _, w := range workers {
 		w.conn.Close()
 	}
+	var wg sync.WaitGroup
+	for _, m := range members {
+		if m == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(m *member) {
+			defer wg.Done()
+			m.shutdown(time.Second)
+		}(m)
+	}
+	wg.Wait()
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Worker side.
-
-// ServeRemoteWorker dials a RemoteBackend coordinator and serves cell
-// chunks until the coordinator closes the connection (the clean
-// shutdown signal) or ctx is canceled. Heartbeats flow on a separate
-// goroutine at the cadence the coordinator requested, so a worker deep
-// in a long batch still proves liveness. If opts.TraceDir is empty and
-// the coordinator advertises one, the worker adopts it, so every
-// worker process on a machine shares one persistent trace tier.
-func ServeRemoteWorker(ctx context.Context, addr string, opts WorkerOptions) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("worker: connect %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetKeepAlive(true)
-	}
-
-	host, _ := os.Hostname()
-	if host == "" {
-		host = "worker"
-	}
-	_ = conn.SetDeadline(time.Now().Add(remoteHandshakeTimeout))
-	hello := remoteHello{
-		Proto:  remoteProtoVersion,
-		Name:   fmt.Sprintf("%s/%d", host, os.Getpid()),
-		Codecs: wireOffer(opts.Wire),
-	}
-	if err := writeFrame(conn, hello); err != nil {
-		return fmt.Errorf("worker: hello: %w", err)
-	}
-	var welcome remoteWelcome
-	if err := readFrame(conn, &welcome); err != nil {
-		return fmt.Errorf("worker: welcome: %w", err)
-	}
-	if welcome.Proto != remoteProtoVersion {
-		return fmt.Errorf("worker: coordinator speaks protocol %d, want %d", welcome.Proto, remoteProtoVersion)
-	}
-	switch welcome.Codec {
-	case "", wireCodecBinary:
-	default:
-		return fmt.Errorf("worker: coordinator selected unknown codec %q", welcome.Codec)
-	}
-	codec := welcome.Codec
-	_ = conn.SetDeadline(time.Time{})
-	if opts.TraceDir == "" {
-		opts.TraceDir = welcome.TraceDir
-	}
-	if opts.TraceMajor == nil {
-		opts.TraceMajor = welcome.TraceMajor
-	}
-	if !opts.TraceMmap && welcome.TraceMmap != nil {
-		opts.TraceMmap = *welcome.TraceMmap
-	}
-	if opts.Snapshots == nil {
-		opts.Snapshots = welcome.Snapshots
-	}
-	if opts.SnapDir == "" {
-		opts.SnapDir = welcome.SnapDir
-	}
-	// Coordinator-forwarded specs compose with any the worker loaded
-	// locally; content-hashed names make double registration harmless.
-	opts.WorkloadSpecs = append(opts.WorkloadSpecs, welcome.WorkloadSpecs...)
-	if err := registerWorkloadSpecs(opts.WorkloadSpecs); err != nil {
-		return err
-	}
-	store, err := newWorkerStore(opts)
-	if err != nil {
-		return err
-	}
-	snaps, err := newWorkerSnapStore(opts)
-	if err != nil {
-		return err
-	}
-	env := cellEnvFor(opts, store, snaps)
-
-	var wmu sync.Mutex
-	send := func(reply remoteReply) error {
-		var payload []byte
-		var err error
-		if codec == wireCodecBinary {
-			m := wireMsg{seq: reply.Seq, results: reply.Results, err: reply.Err, permanent: reply.Permanent}
-			if reply.Type == "heartbeat" {
-				m.kind = wireKindHeartbeat
-			} else {
-				m.kind = wireKindResults
-			}
-			payload = encodeWireMsg(&m)
-		} else if payload, err = json.Marshal(reply); err != nil {
-			return err
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
-		return writeRawFrame(conn, payload)
-	}
-
-	// The connection doubles as the cancellation signal: closing it
-	// unblocks the read loop below and stops the heartbeats.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
-	heartbeat := welcome.HeartbeatMS
-	if heartbeat <= 0 {
-		heartbeat = 1000
-	}
-	go func() {
-		t := time.NewTicker(time.Duration(heartbeat) * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if send(remoteReply{Type: "heartbeat"}) != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	for {
-		payload, err := readRawFrame(conn)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // coordinator closed the connection: clean shutdown
-			}
-			return fmt.Errorf("worker: read chunk: %w", err)
-		}
-		var work remoteWork
-		if len(payload) > 0 && payload[0] == binMagic {
-			m, err := decodeWireMsg(payload)
-			if err != nil {
-				return fmt.Errorf("worker: read chunk: %w", err)
-			}
-			work = remoteWork{Seq: m.seq, Cells: m.cells, Prefetch: m.prefetch}
-		} else if err := json.Unmarshal(payload, &work); err != nil {
-			return fmt.Errorf("worker: read chunk: %w", err)
-		}
-		if len(work.Prefetch) > 0 {
-			env.prefetch(work.Prefetch)
-		}
-		reply := remoteReply{Type: "results", Seq: work.Seq}
-		results, err := executeCells(ctx, work.Cells, env)
-		if err != nil {
-			reply.Err = err.Error()
-			reply.Permanent = errors.Is(err, ErrPermanent)
-		} else {
-			reply.Results = results
-		}
-		if err := send(reply); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("worker: send results: %w", err)
-		}
-	}
 }

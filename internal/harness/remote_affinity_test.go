@@ -1,9 +1,9 @@
 package harness
 
-// Tests for the locality-aware scheduler and the negotiated binary wire
-// codec. The standing contract stays what it always was — bytes
-// identical to the in-process run — with affinity routing, mixed-codec
-// fleets, and the preferred worker dying mid-group layered on top.
+// Tests for the locality-aware scheduler. The standing contract stays
+// what it always was — bytes identical to the in-process run — with
+// affinity routing and the preferred worker dying mid-group layered on
+// top.
 
 import (
 	"bufio"
@@ -20,22 +20,6 @@ import (
 	"time"
 )
 
-// startInProcWorkerOpts is startInProcWorker with explicit worker
-// options, for pinning a worker's frame codec.
-func startInProcWorkerOpts(t *testing.T, addr string, opts WorkerOptions) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = ServeRemoteWorker(ctx, addr, opts)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
-}
-
 // runGroup runs the locality-grouped trace scenario, the workload shape
 // affinity scheduling exists for.
 func runGroup(t *testing.T, pool *Pool) []Report {
@@ -51,37 +35,12 @@ func runGroup(t *testing.T, pool *Pool) []Report {
 func waitJoins(t *testing.T, b *RemoteBackend, n uint64) {
 	t.Helper()
 	deadline := time.After(10 * time.Second)
-	for fleetStats(t, b).Joins < n {
+	for b.BackendStats()[0].Joins < n {
 		select {
 		case <-deadline:
-			t.Fatalf("joins = %d, want %d", fleetStats(t, b).Joins, n)
+			t.Fatalf("joins = %d, want %d", b.BackendStats()[0].Joins, n)
 		case <-time.After(5 * time.Millisecond):
 		}
-	}
-}
-
-// TestRemoteMixedCodecFleet: one worker negotiates the binary codec,
-// the other is pinned to JSON, and the run must not care — bytes
-// identical to local, with both codecs visibly carrying frames.
-func TestRemoteMixedCodecFleet(t *testing.T) {
-	local := runGroup(t, NewPool(2, 9090))
-
-	b := &RemoteBackend{}
-	addr := startRemote(t, b)
-	startInProcWorker(t, addr) // negotiates binary
-	startInProcWorkerOpts(t, addr, WorkerOptions{Workers: 1, Wire: "json"})
-	waitJoins(t, b, 2)
-
-	pool := NewPool(2, 9090)
-	pool.SetBackend(b)
-	remote := runGroup(t, pool)
-	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
-		t.Error("mixed-codec fleet results diverge from local")
-	}
-	st := fleetStats(t, b)
-	if st.WireJSONBytes == 0 || st.WireBinaryBytes == 0 {
-		t.Errorf("mixed fleet should count bytes on both codecs: json=%d binary=%d",
-			st.WireJSONBytes, st.WireBinaryBytes)
 	}
 }
 
@@ -170,23 +129,23 @@ func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 		conn, _ := dialScriptedWorker(t, addr, name)
 		go func() {
 			for {
-				var work remoteWork
-				if readFrame(conn, &work) != nil {
+				work, err := readWork(conn)
+				if err != nil {
 					return
 				}
-				if len(work.Cells) > 0 {
+				if len(work.cells) > 0 {
 					mu.Lock()
-					seen[name+"|"+work.Cells[0].Locality] = struct{}{}
+					seen[name+"|"+work.cells[0].Locality] = struct{}{}
 					mu.Unlock()
 				}
 				// A stand-in for compute: long enough that the other worker
 				// stays busy too, so dispatch genuinely alternates.
 				time.Sleep(25 * time.Millisecond)
-				results := make([]CellResult, len(work.Cells))
-				for i, c := range work.Cells {
+				results := make([]CellResult, len(work.cells))
+				for i, c := range work.cells {
 					results[i] = CellResult{Shard: c.Shard, Value: json.RawMessage(strconv.Itoa(c.Shard))}
 				}
-				if writeFrame(conn, remoteReply{Type: "results", Seq: work.Seq, Results: results}) != nil {
+				if writeResults(conn, work.seq, results, "", false) != nil {
 					return
 				}
 			}

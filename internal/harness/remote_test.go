@@ -17,24 +17,11 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 const remoteAddrEnvVar = "STBPU_HARNESS_TEST_ADDR"
-
-// permanentBackend fails every chunk with a deterministic (Permanent)
-// error, counting how often routers nonetheless come back.
-type permanentBackend struct{ calls atomic.Int64 }
-
-func (p *permanentBackend) Name() string { return "perm" }
-func (p *permanentBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	p.calls.Add(1)
-	return nil, Permanent(errors.New("deterministic scenario bug"))
-}
-func (p *permanentBackend) Close() error { return nil }
 
 // remoteWedgeWorkerMain is the TestMain body for the remote-wedge
 // worker mode: handshake, take one chunk, print a marker, keep
@@ -45,30 +32,23 @@ func remoteWedgeWorkerMain() {
 		fmt.Fprintln(os.Stderr, "wedge worker:", err)
 		os.Exit(1)
 	}
-	var wmu sync.Mutex
-	if err := writeFrame(conn, remoteHello{Proto: remoteProtoVersion, Name: "wedge"}); err != nil {
-		os.Exit(1)
-	}
-	var welcome remoteWelcome
-	if err := readFrame(conn, &welcome); err != nil {
+	welcome, err := scriptedHandshake(conn, conn, "wedge")
+	if err != nil {
 		os.Exit(1)
 	}
 	go func() {
 		for {
 			time.Sleep(time.Duration(welcome.HeartbeatMS) * time.Millisecond)
-			wmu.Lock()
-			err := writeFrame(conn, remoteReply{Type: "heartbeat"})
-			wmu.Unlock()
-			if err != nil {
+			if writeRawFrame(conn, encodeWireMsg(&wireMsg{kind: wireKindHeartbeat})) != nil {
 				os.Exit(1)
 			}
 		}
 	}()
-	var work remoteWork
-	if err := readFrame(conn, &work); err != nil {
+	work, err := readWork(conn)
+	if err != nil {
 		os.Exit(1)
 	}
-	fmt.Printf("WEDGED %d\n", len(work.Cells))
+	fmt.Printf("WEDGED %d\n", len(work.cells))
 	select {}
 }
 
@@ -110,11 +90,8 @@ func dialScriptedWorker(t *testing.T, addr, name string) (net.Conn, remoteWelcom
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := writeFrame(conn, remoteHello{Proto: remoteProtoVersion, Name: name}); err != nil {
-		t.Fatal(err)
-	}
-	var welcome remoteWelcome
-	if err := readFrame(conn, &welcome); err != nil {
+	welcome, err := scriptedHandshake(conn, conn, name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return conn, welcome
@@ -312,26 +289,24 @@ func TestRemoteBackendSpeculativeReexecution(t *testing.T) {
 	t.Cleanup(func() { close(slowStop) })
 	go func() {
 		for {
-			var work remoteWork
-			if readFrame(slowConn, &work) != nil {
+			work, err := readWork(slowConn)
+			if err != nil {
 				return
 			}
-			results, err := ExecuteCells(context.Background(), work.Cells, 1, nil)
 			select {
 			case <-time.After(800 * time.Millisecond):
 			case <-slowStop:
 				return
 			}
-			reply := remoteReply{Type: "results", Seq: work.Seq, Results: results}
-			if err != nil {
-				reply = remoteReply{Type: "results", Seq: work.Seq, Err: err.Error()}
-			}
-			if writeFrame(slowConn, reply) != nil {
+			if answerWork(slowConn, work) != nil {
 				return
 			}
 		}
 	}()
 	startInProcWorker(t, addr)
+	// Both must be idle when the run starts, so the slow worker is sure
+	// to hold a chunk the fast one can steal.
+	waitJoins(t, b, 2)
 
 	pool := NewPool(2, 555)
 	pool.SetBackend(b)
@@ -385,13 +360,15 @@ func TestRemoteBackendHeartbeatTimeout(t *testing.T) {
 	silentConn, _ := dialScriptedWorker(t, addr, "silent")
 	go func() {
 		for {
-			var work remoteWork
-			if readFrame(silentConn, &work) != nil {
+			if _, err := readWork(silentConn); err != nil {
 				return
 			}
 		}
 	}()
 	startInProcWorker(t, addr)
+	// Start once both joined, so the silent worker is sure to hold a
+	// chunk when the run begins.
+	waitJoins(t, b, 2)
 
 	pool := NewPool(2, 99)
 	pool.SetBackend(b)
@@ -420,28 +397,26 @@ func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 	go func() {
 		rejected := false
 		for {
-			var work remoteWork
-			if readFrame(conn, &work) != nil {
+			work, err := readWork(conn)
+			if err != nil {
 				return
 			}
 			if !rejected {
 				rejected = true
-				if writeFrame(conn, remoteReply{Type: "results", Seq: work.Seq, Err: "scenario not on this build"}) != nil {
+				if writeResults(conn, work.seq, nil, "scenario not on this build", false) != nil {
 					return
 				}
 				continue
 			}
-			results, err := ExecuteCells(context.Background(), work.Cells, 1, nil)
-			reply := remoteReply{Type: "results", Seq: work.Seq, Results: results}
-			if err != nil {
-				reply = remoteReply{Type: "results", Seq: work.Seq, Err: err.Error()}
-			}
-			if writeFrame(conn, reply) != nil {
+			if answerWork(conn, work) != nil {
 				return
 			}
 		}
 	}()
 	startInProcWorker(t, addr)
+	// Start once both joined, so the grumpy worker is sure to get a
+	// chunk to reject.
+	waitJoins(t, b, 2)
 
 	pool := NewPool(2, 11)
 	pool.SetBackend(b)
@@ -468,14 +443,11 @@ func TestRemoteBackendPermanentWorkerErrorFailsRun(t *testing.T) {
 	conn, _ := dialScriptedWorker(t, addr, "perm")
 	go func() {
 		for {
-			var work remoteWork
-			if readFrame(conn, &work) != nil {
+			work, err := readWork(conn)
+			if err != nil {
 				return
 			}
-			if writeFrame(conn, remoteReply{
-				Type: "results", Seq: work.Seq,
-				Err: "cell space mismatch", Permanent: true,
-			}) != nil {
+			if writeResults(conn, work.seq, nil, "cell space mismatch", true) != nil {
 				return
 			}
 		}
@@ -510,31 +482,129 @@ func TestRemoteBackendFailsWithoutWorkers(t *testing.T) {
 	}
 }
 
-// TestMultiBackendPermanentErrorNotRetried: a backend failing a chunk
-// with a Permanent error must surface it immediately instead of
-// retrying the doomed chunk across the rest of the ring.
-func TestMultiBackendPermanentErrorNotRetried(t *testing.T) {
-	perm := &permanentBackend{}
-	m := NewMultiBackend(
-		WeightedBackend{Backend: perm, Weight: 1},
-		WeightedBackend{Backend: NewLocalBackend(1), Weight: 1},
-	)
-	defer m.Close()
-	pool := NewPool(2, 7)
-	pool.SetBackend(m)
-	_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
-	if err == nil || !strings.Contains(err.Error(), "deterministic scenario bug") {
-		t.Fatalf("err = %v, want the permanent failure", err)
-	}
-	if !errors.Is(err, ErrPermanent) {
-		t.Errorf("permanent marker lost through MultiBackend: %v", err)
-	}
-	if calls := perm.calls.Load(); calls != 1 {
-		t.Errorf("permanent backend was called %d times, want exactly 1", calls)
-	}
-	for _, st := range m.BackendStats() {
-		if st.Retries != 0 {
-			t.Errorf("backend %s recorded %d retries for a permanent failure", st.Backend, st.Retries)
+// serveFailingCells answers every work frame on conn like a worker whose
+// cells in fail return errors: results in shard order, stopping at the
+// first failed cell. Cells in canceled come back as collateral
+// cancellations, and a chunk holding shard slow is answered after delay.
+func serveFailingCells(conn net.Conn, fail, canceled map[int]bool, slow int, delay time.Duration) {
+	for {
+		work, err := readWork(conn)
+		if err != nil {
+			return
 		}
+		var results []CellResult
+		for _, c := range work.cells {
+			if c.Shard == slow {
+				time.Sleep(delay)
+			}
+			r := CellResult{Shard: c.Shard, Value: json.RawMessage(fmt.Sprint(c.Shard))}
+			switch {
+			case canceled[c.Shard]:
+				r = CellResult{Shard: c.Shard, Err: context.Canceled.Error(), Canceled: true}
+			case fail[c.Shard]:
+				r = CellResult{Shard: c.Shard, Err: fmt.Sprintf("shard %d detonated", c.Shard)}
+			}
+			results = append(results, r)
+			if fail[c.Shard] {
+				break
+			}
+		}
+		if writeResults(conn, work.seq, results, "", false) != nil {
+			return
+		}
+	}
+}
+
+func mapInts(ctx context.Context, pool *Pool, n int) ([]int, error) {
+	return Map(ctx, pool, "_fleet-fail", n, func(ctx context.Context, shard int, seed uint64) (int, error) {
+		return shard, nil
+	})
+}
+
+// TestRemoteBackendReportsRootCauseBesideCancellation: a worker running
+// cells concurrently returns its chunk's real failure after the lower
+// cells that failure canceled, in one frame. The fleet must merge the
+// whole frame, so Map reports the failure, not an interrupt.
+func TestRemoteBackendReportsRootCauseBesideCancellation(t *testing.T) {
+	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	addr := startRemote(t, b)
+	conn, _ := dialScriptedWorker(t, addr, "collateral")
+	go serveFailingCells(conn, map[int]bool{1: true, 3: true, 5: true, 7: true}, map[int]bool{0: true, 2: true, 4: true, 6: true}, -1, 0)
+	waitJoins(t, b, 1)
+
+	// One worker, eight cells: chunks of two, so shard 0's cancellation
+	// and shard 1's failure share a frame.
+	pool := NewPool(1, 3)
+	pool.SetBackend(b)
+	_, err := mapInts(context.Background(), pool, 8)
+	if err == nil || !strings.Contains(err.Error(), "shard 1 detonated") {
+		t.Fatalf("err = %v, want shard 1's failure", err)
+	}
+	if errors.Is(err, context.Canceled) {
+		t.Errorf("a cell failure surfaced as a cancellation: %v", err)
+	}
+}
+
+// TestRemoteBackendReportsLowestFailingShard: when two chunks fail and
+// the higher failure arrives first, the fleet must still wait for the
+// chunk holding the lower shard, so Map reports the lowest failing
+// shard on every run, as LocalBackend does.
+func TestRemoteBackendReportsLowestFailingShard(t *testing.T) {
+	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	addr := startRemote(t, b)
+	fail := map[int]bool{2: true, 9: true}
+	for _, name := range []string{"fast", "slow"} {
+		conn, _ := dialScriptedWorker(t, addr, name)
+		go serveFailingCells(conn, fail, nil, 2, 150*time.Millisecond)
+	}
+	waitJoins(t, b, 2)
+
+	pool := NewPool(1, 3)
+	pool.SetBackend(b)
+	for i := 0; i < 5; i++ {
+		_, err := mapInts(context.Background(), pool, 16)
+		if err == nil || !strings.Contains(err.Error(), "shard 2 detonated") {
+			t.Fatalf("run %d: err = %v, want shard 2's failure", i, err)
+		}
+	}
+}
+
+// TestRemoteBackendRequeuesShortResults: a worker that answers a chunk
+// with only some of its cells and no failure among them has not
+// finished the chunk; the missing cells must run again rather than
+// leave the run waiting forever.
+func TestRemoteBackendRequeuesShortResults(t *testing.T) {
+	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	addr := startRemote(t, b)
+	conn, _ := dialScriptedWorker(t, addr, "short")
+	go func() {
+		for {
+			work, err := readWork(conn)
+			if err != nil {
+				return
+			}
+			// Answer each chunk with its first cell only.
+			c := work.cells[0]
+			r := CellResult{Shard: c.Shard, Value: json.RawMessage(fmt.Sprint(c.Shard))}
+			if writeResults(conn, work.seq, []CellResult{r}, "", false) != nil {
+				return
+			}
+		}
+	}()
+	waitJoins(t, b, 1)
+
+	pool := NewPool(1, 3)
+	pool.SetBackend(b)
+	got, err := mapInts(context.Background(), pool, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("shard %d = %d", i, v)
+		}
+	}
+	if st := fleetStats(t, b); st.Retries == 0 {
+		t.Errorf("short chunks were not requeued: %+v", st)
 	}
 }

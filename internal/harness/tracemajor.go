@@ -110,7 +110,7 @@ func localityFor(ctx context.Context, scope string) func(int) string {
 //
 // locality labels each shard's cell spec with the warm-artifact key the
 // group replays (see Locality); nil leaves specs unlabeled. The label
-// feeds locality-aware routing and prefetch in wire backends and is
+// feeds locality-aware routing and prefetch on a worker fleet and is
 // stamped on the model-major fallback path too — pure metadata either
 // way.
 //

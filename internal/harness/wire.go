@@ -1,45 +1,44 @@
 package harness
 
-// Wire codec: both wire backends frame messages as a 4-byte big-endian
-// payload length followed by the payload. Payloads are JSON by default
-// — every peer speaks it — and switch to a compact binary encoding
-// built on internal/snap when both ends negotiate it in the
-// hello/welcome handshake (exec stdio and remote TCP alike). Bare/old
-// workers never advertise the codec and simply stay on JSON; the
-// handshake frames themselves are always JSON so the two ends can
-// disagree about everything except how to disagree. A binary payload
-// starts with a magic byte no JSON payload can start with, so a
-// decoder can reject codec confusion loudly, and carries a version
-// byte so future revisions can coexist on one fleet.
+// Wire codec: every fleet connection — a subprocess's stdio, a TCP
+// socket, an in-memory pipe — frames messages as a 4-byte big-endian
+// payload length followed by the payload. The hello/welcome handshake
+// is JSON, so the two ends can disagree about everything except the
+// protocol version; every frame after it (work, results, heartbeat) is
+// the compact binary encoding built on internal/snap. A binary payload
+// starts with a magic byte and a version byte, so a confused peer is
+// rejected loudly.
 //
-// One message shape serves both wires (work in, results/heartbeat
-// out); the exec stdio wire has no sequence numbers and leaves seq 0.
 // CellResult values stay wire-encoded JSON inside the binary frame —
-// the payload bytes a worker computed are forwarded verbatim, so
-// result byte-identity across codecs is structural, not coincidental.
+// the payload bytes a worker computed are forwarded verbatim, so result
+// bytes are identical to an in-process run's by construction.
+//
+// Decoding never trusts a peer's length prefix: readRawFrame grows its
+// buffer as bytes arrive, and every sequence count is checked against
+// the bytes left in the frame before anything is allocated from it, so
+// a forged frame costs at most a small multiple of its own size.
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"stbpu/internal/snap"
 )
 
-// wireCodecBinary is the name the binary codec goes by in hello
-// (advertised) and welcome (selected) handshake frames. JSON is the
-// unnamed default and never appears in a handshake.
-const wireCodecBinary = "bin1"
+// maxFrameBytes bounds a protocol frame.
+const maxFrameBytes = 256 << 20
 
-// wireForceJSON is the Wire config value (ExecBackend.Wire,
-// RemoteBackend.Wire, WorkerOptions.Wire) that pins a peer to JSON
-// frames, for mixed-fleet tests and debugging; empty means negotiate.
-const wireForceJSON = "json"
+// frameReadChunk is the first read buffer of a frame; larger frames grow
+// the buffer as their bytes arrive rather than trusting the header.
+const frameReadChunk = 64 << 10
 
 const (
-	binMagic   = 0xB5 // first payload byte; JSON payloads start with '{'
+	binMagic   = 0xB5 // first payload byte of every post-handshake frame
 	binVersion = 1
 )
 
@@ -47,10 +46,10 @@ const (
 const (
 	wireKindWork      = 1 // coordinator → worker: cells + prefetch hints
 	wireKindResults   = 2 // worker → coordinator: results or batch error
-	wireKindHeartbeat = 3 // worker → coordinator: liveness (remote wire)
+	wireKindHeartbeat = 3 // worker → coordinator: liveness
 )
 
-// wireMsg is the codec-neutral form of one frame after the handshake.
+// wireMsg is one frame after the handshake.
 type wireMsg struct {
 	kind      byte
 	seq       uint64
@@ -61,52 +60,51 @@ type wireMsg struct {
 	permanent bool
 }
 
-// wireOffer returns the codecs a peer advertises in its hello frame
-// under the given Wire config value.
-func wireOffer(wire string) []string {
-	if wire == wireForceJSON {
-		return nil
-	}
-	return []string{wireCodecBinary}
+// Minimum encoded sizes of the sequence elements a frame carries; the
+// decoder rejects a count whose elements cannot fit in the bytes left.
+var (
+	minSpecBytes   = len(encodeOne(func(w *snap.Writer) { encodeSpecBin(w, &CellSpec{}) }))
+	minResultBytes = len(encodeOne(func(w *snap.Writer) { encodeResultBin(w, &CellResult{}) }))
+	minStringBytes = len(encodeOne(func(w *snap.Writer) { w.Bytes8(nil) }))
+)
+
+func encodeOne(fn func(*snap.Writer)) []byte {
+	w := snap.NewWriter(128)
+	fn(w)
+	return w.Bytes()
 }
 
-// negotiateCodec picks the frame codec from a hello's advertised list:
-// the binary codec when both ends allow it, else JSON ("").
-func negotiateCodec(offered []string, wire string) string {
-	if wire == wireForceJSON {
-		return ""
-	}
-	for _, c := range offered {
-		if c == wireCodecBinary {
-			return wireCodecBinary
-		}
-	}
-	return ""
-}
-
-// wireStats counts frame payload bytes per codec, both directions;
-// wire backends report the totals in BackendStats.
+// wireStats counts frame payload bytes, both directions: JSON for the
+// handshake, binary for everything after it.
 type wireStats struct {
 	jsonBytes   atomic.Uint64
 	binaryBytes atomic.Uint64
 }
 
-func (s *wireStats) count(codec string, n int) {
-	if s == nil {
-		return
-	}
-	if codec == wireCodecBinary {
-		s.binaryBytes.Add(uint64(n))
-	} else {
-		s.jsonBytes.Add(uint64(n))
-	}
-}
-
-// fill copies the counters into a stats block (omitempty keeps silent
-// wires invisible).
+// fill copies the counters into a stats block.
 func (s *wireStats) fill(b *BackendStats) {
 	b.WireJSONBytes = s.jsonBytes.Load()
 	b.WireBinaryBytes = s.binaryBytes.Load()
+}
+
+// writeJSONFrame frames the JSON encoding of a handshake message and
+// reports the payload size.
+func writeJSONFrame(w io.Writer, v any) (int, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return 0, err
+	}
+	return len(payload), writeRawFrame(w, payload)
+}
+
+// readJSONFrame reads one handshake frame into v and reports the
+// payload size.
+func readJSONFrame(r io.Reader, v any) (int, error) {
+	payload, err := readRawFrame(r)
+	if err != nil {
+		return 0, err
+	}
+	return len(payload), json.Unmarshal(payload, v)
 }
 
 // writeRawFrame emits a 4-byte big-endian length followed by payload.
@@ -125,21 +123,30 @@ func writeRawFrame(w io.Writer, payload []byte) error {
 
 // readRawFrame reads one length-prefixed payload. A clean EOF before
 // the header returns io.EOF; EOF mid-frame returns io.ErrUnexpectedEOF.
+// The buffer grows with the bytes actually received, so a header that
+// claims more than the peer sends costs no more than what it sent.
 func readRawFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("frame of %d bytes exceeds the %d-byte protocol bound", n, maxFrameBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.ErrUnexpectedEOF
+	payload := make([]byte, 0, min(n, frameReadChunk))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), len(payload)))
 		}
-		return nil, err
+		k, err := io.ReadFull(r, payload[len(payload):min(cap(payload), n)])
+		payload = payload[:len(payload)+k]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return payload, nil
 }
@@ -186,13 +193,13 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 	switch m.kind {
 	case wireKindWork:
 		in := stringInterner{}
-		if n := r.Len(); n > 0 {
+		if n := r.LenOf(minStringBytes); n > 0 {
 			m.prefetch = make([]string, n)
 			for i := range m.prefetch {
 				m.prefetch[i] = in.str(r.Bytes8())
 			}
 		}
-		if n := r.Len(); n > 0 {
+		if n := r.LenOf(minSpecBytes); n > 0 {
 			m.cells = make([]CellSpec, n)
 			for i := range m.cells {
 				decodeSpecBin(r, &m.cells[i], in)
@@ -201,7 +208,7 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 	case wireKindResults:
 		m.permanent = r.Bool()
 		m.err = string(r.Bytes8())
-		if n := r.Len(); n > 0 {
+		if n := r.LenOf(minResultBytes); n > 0 {
 			m.results = make([]CellResult, n)
 			for i := range m.results {
 				decodeResultBin(r, &m.results[i])
@@ -218,8 +225,7 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 }
 
 // encodeSpecBin writes one CellSpec. Params fields are written in
-// declaration order; adding a Params field requires bumping binVersion
-// (mixed-version fleets then fall back to JSON, which is tolerant).
+// declaration order; adding a Params field requires bumping binVersion.
 func encodeSpecBin(w *snap.Writer, s *CellSpec) {
 	w.Bytes8([]byte(s.Scenario))
 	w.Bytes8([]byte(s.Scope))
@@ -276,7 +282,7 @@ func decodeSpecBin(r *snap.Reader, s *CellSpec, in stringInterner) {
 	p.Budget = r.Int()
 	p.Bits = r.Int()
 	p.R = r.F64()
-	if n := r.Len(); n > 0 {
+	if n := r.LenOf(8); n > 0 {
 		p.Sweep = make([]float64, n)
 		for i := range p.Sweep {
 			p.Sweep[i] = r.F64()

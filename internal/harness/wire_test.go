@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"reflect"
+	"runtime/metrics"
 	"testing"
 )
 
@@ -108,35 +113,123 @@ func TestWireMsgDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestWireOfferAndNegotiate(t *testing.T) {
-	if got := wireOffer(""); len(got) != 1 || got[0] != wireCodecBinary {
-		t.Fatalf("wireOffer(\"\") = %v, want [%s]", got, wireCodecBinary)
+// forgedWorkFrame is a 19-byte work frame whose cell count claims 2^22
+// cells it does not carry — the shape that once made the decoder
+// allocate hundreds of megabytes before noticing the truncation.
+func forgedWorkFrame() []byte {
+	frame := []byte{binMagic, binVersion, wireKindWork}
+	frame = binary.LittleEndian.AppendUint64(frame, 1)     // seq
+	frame = binary.LittleEndian.AppendUint32(frame, 0)     // prefetch count
+	frame = binary.LittleEndian.AppendUint32(frame, 1<<22) // cell count
+	return frame
+}
+
+// allocatedBy reports the heap bytes allocated while fn ran. It reads
+// runtime/metrics, which does not stop the world, so a fuzz worker can
+// call it on every input. The counter is coarse — a span refill counts
+// the whole span — so the budgets it checks leave constant slack.
+func allocatedBy(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	fn()
+	metrics.Read(sample)
+	return sample[0].Value.Uint64() - before
+}
+
+// TestWireForgedCountAllocationBounded: a frame that claims more cells
+// than it holds must fail at the count, allocating on the order of the
+// frame, not of the claim.
+func TestWireForgedCountAllocationBounded(t *testing.T) {
+	frame := forgedWorkFrame()
+	if len(frame) != 19 {
+		t.Fatalf("forged frame is %d bytes, want 19", len(frame))
 	}
-	if got := wireOffer(wireForceJSON); got != nil {
-		t.Fatalf("wireOffer(json) = %v, want nil", got)
+	var err error
+	alloc := allocatedBy(func() { _, err = decodeWireMsg(frame) })
+	if err == nil {
+		t.Fatal("decodeWireMsg accepted a frame claiming 2^22 absent cells")
 	}
-	cases := []struct {
-		offered []string
-		wire    string
-		want    string
-	}{
-		{[]string{wireCodecBinary}, "", wireCodecBinary},
-		{[]string{"future9", wireCodecBinary}, "", wireCodecBinary},
-		{[]string{"future9"}, "", ""},
-		{nil, "", ""},
-		{[]string{wireCodecBinary}, wireForceJSON, ""},
+	if alloc > 1<<20 {
+		t.Errorf("rejecting a 19-byte frame allocated %d bytes", alloc)
 	}
-	for _, tc := range cases {
-		if got := negotiateCodec(tc.offered, tc.wire); got != tc.want {
-			t.Fatalf("negotiateCodec(%v, %q) = %q, want %q", tc.offered, tc.wire, got, tc.want)
+}
+
+// TestReadRawFrameForgedLengthAllocationBounded: a header claiming the
+// largest legal frame, followed by a few bytes and EOF, must fail as
+// truncated without allocating the claimed size.
+func TestReadRawFrameForgedLengthAllocationBounded(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrameBytes)
+	stream := append(hdr[:], forgedWorkFrame()...)
+	var err error
+	alloc := allocatedBy(func() { _, err = readRawFrame(bytes.NewReader(stream)) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc > 1<<20 {
+		t.Errorf("reading a %d-byte stream allocated %d bytes", len(stream), alloc)
+	}
+}
+
+// TestReadRawFrameLarge: a frame larger than the first read buffer
+// arrives whole as the buffer grows.
+func TestReadRawFrameLarge(t *testing.T) {
+	payload := make([]byte, 5*frameReadChunk+123)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := writeRawFrame(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readRawFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("large frame corrupted in transit")
+	}
+}
+
+// FuzzWireMsg feeds arbitrary payloads to the frame decoder: it must
+// never panic, must spend at most a constant multiple of the input on
+// allocation, and any payload it accepts must re-encode to itself.
+func FuzzWireMsg(f *testing.F) {
+	for _, m := range []*wireMsg{
+		benchWorkMsg(),
+		{kind: wireKindResults, seq: 42, results: []CellResult{
+			{Shard: 0, Value: json.RawMessage(`{"leak":0.25}`), ElapsedUS: 1234},
+			{Shard: 1, Err: "replay diverged", Canceled: true},
+		}},
+		{kind: wireKindResults, seq: 9, err: "trace store unavailable", permanent: true},
+		{kind: wireKindHeartbeat},
+	} {
+		f.Add(encodeWireMsg(m))
+	}
+	f.Add(forgedWorkFrame())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var m *wireMsg
+		var err error
+		alloc := allocatedBy(func() { m, err = decodeWireMsg(payload) })
+		// The counter moves by whole cached spans, hence the slack.
+		if budget := uint64(1<<20 + 32*len(payload)); alloc > budget {
+			t.Fatalf("decoding %d bytes allocated %d (budget %d)", len(payload), alloc, budget)
 		}
-	}
+		if err != nil {
+			return
+		}
+		if again := encodeWireMsg(m); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload does not re-encode to itself:\n in % x\nout % x", payload, again)
+		}
+	})
 }
 
 // The benchmarks measure one dispatch round trip for a representative
 // 64-cell trace-major batch: coordinator-side encode plus worker-side
 // decode, the work the wire adds to every chunk. The binary codec must
-// beat JSON by a wide margin (the bench gate records both).
+// beat the JSON reference by a wide margin (the bench gate records
+// both).
 
 func benchWorkMsg() *wireMsg {
 	return &wireMsg{
@@ -147,9 +240,18 @@ func benchWorkMsg() *wireMsg {
 	}
 }
 
+// jsonWork has the shape of the JSON work frame the fleet sent before
+// every post-handshake frame became binary; BenchmarkWireSpecsJSON
+// keeps it as the reference the binary codec is measured against.
+type jsonWork struct {
+	Seq      uint64     `json:"seq"`
+	Cells    []CellSpec `json:"cells"`
+	Prefetch []string   `json:"prefetch,omitempty"`
+}
+
 func BenchmarkWireSpecsJSON(b *testing.B) {
 	msg := benchWorkMsg()
-	work := remoteWork{Seq: msg.seq, Cells: msg.cells, Prefetch: msg.prefetch}
+	work := jsonWork{Seq: msg.seq, Cells: msg.cells, Prefetch: msg.prefetch}
 	payload, err := json.Marshal(&work)
 	if err != nil {
 		b.Fatal(err)
@@ -162,7 +264,7 @@ func BenchmarkWireSpecsJSON(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var got remoteWork
+		var got jsonWork
 		if err := json.Unmarshal(p, &got); err != nil {
 			b.Fatal(err)
 		}

@@ -22,11 +22,6 @@ import (
 	"math"
 )
 
-// maxSliceLen bounds a decoded length prefix so corrupt input cannot
-// trigger a giant allocation. Predictor tables are at most a few MiB;
-// 1<<28 elements is far beyond any real snapshot.
-const maxSliceLen = 1 << 28
-
 // Writer appends values to a growing byte buffer. The zero value is
 // ready to use; Bytes returns the accumulated encoding.
 type Writer struct {
@@ -248,12 +243,22 @@ func (r *Reader) Int() int { return int(int64(r.U64())) }
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Len reads a sequence length prefix, bounding it against corrupt
-// input.
-func (r *Reader) Len() int {
+// Len reads a sequence length prefix for elements that encode to at
+// least one byte each; see LenOf.
+func (r *Reader) Len() int { return r.LenOf(1) }
+
+// LenOf reads a length prefix for elements that each encode to at least
+// size bytes, rejecting a count the remaining input cannot hold. A
+// decoder may therefore allocate from the count without trusting it:
+// corrupt or hostile input costs at most a constant multiple of its own
+// length.
+func (r *Reader) LenOf(size int) int {
 	n := r.U32()
-	if n > maxSliceLen {
-		r.fail("length prefix %d exceeds bound %d", n, maxSliceLen)
+	if r.err != nil {
+		return 0
+	}
+	if rem := len(r.buf) - r.off; uint64(n)*uint64(size) > uint64(rem) {
+		r.fail("length prefix %d (%d-byte elements) exceeds the %d bytes remaining", n, size, rem)
 		return 0
 	}
 	return int(n)

@@ -44,11 +44,12 @@
 //
 // # Cache locality under distributed backends
 //
-// When the harness runs cells on subprocess workers
-// (harness.ExecBackend), each worker process fills its own Store,
-// persisted across batches, and the coordinator's store sits idle.
-// Without a disk tier a hot trace may then be generated once per
-// worker rather than once per run — duplicated wall-clock work, but
+// When the harness runs cells on a worker fleet (harness.RemoteBackend:
+// subprocess, TCP or in-process members), each worker fills its own
+// Store, persisted across chunks, and the coordinator's store sits
+// idle. Locality routing sends a workload's cells to the worker whose
+// store is already warm, but a hot trace may still be generated once
+// per worker rather than once per run — duplicated wall-clock work, but
 // never a result difference, and no trace bytes ever cross the wire.
 // A shared -trace-dir collapses that duplication to one generation per
 // machine: the first process to generate spills, every other process
